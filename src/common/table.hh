@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table printer used by the benchmark harnesses to emit rows in the
- * same shape as the paper's tables and figure data series.
+ * ASCII table printer used by the sweeps' render hooks to emit rows in
+ * the same shape as the paper's tables and figure data series.
  */
 #ifndef ANVIL_COMMON_TABLE_HH
 #define ANVIL_COMMON_TABLE_HH

@@ -183,8 +183,8 @@ decode_header(const std::string &data, const std::string &path,
 }
 
 /**
- * Field-by-field header validation: exact for name and seed, and for
- * plan hash / shard identity when the caller recorded expectations.
+ * Field-by-field header validation: exact for name, seed, and plan
+ * hash, and for shard identity when the caller expects a shard journal.
  */
 void
 validate_header(const JournalHeader &got, const JournalHeader &expect,
@@ -201,8 +201,7 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
             .with_hex("journal_master_seed", got.master_seed)
             .with_hex("master_seed", expect.master_seed);
     }
-    if (expect.plan_hash != 0 && got.plan_hash != 0 &&
-        got.plan_hash != expect.plan_hash) {
+    if (got.plan_hash != expect.plan_hash) {
         throw Error("journal was written against a different sweep plan "
                     "(trial count or scenario set changed); delete it "
                     "or rerun with the original flags")
@@ -472,16 +471,6 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
 }
 
 void
-JournalWriter::open(const std::string &path, const std::string &sweep,
-                    std::uint64_t master_seed, bool append)
-{
-    JournalHeader header;
-    header.sweep = sweep;
-    header.master_seed = master_seed;
-    open(path, header, append);
-}
-
-void
 JournalWriter::append(const TrialSpec &spec, const TrialOutcome &outcome)
 {
     append_framed(fd_, mutex_, encode_journal_payload(spec, outcome),
@@ -574,16 +563,6 @@ read_journal(const std::string &path, const JournalHeader &expect)
         offset += kPrefix + size;
     }
     return records;
-}
-
-std::vector<JournalRecord>
-read_journal(const std::string &path, const std::string &sweep,
-             std::uint64_t master_seed)
-{
-    JournalHeader expect;
-    expect.sweep = sweep;
-    expect.master_seed = master_seed;
-    return read_journal(path, expect);
 }
 
 }  // namespace anvil::runner

@@ -47,15 +47,13 @@ namespace anvil::runner {
 /**
  * Identity block at the front of every journal. Two journals with equal
  * headers were produced by the same sweep definition: same name, same
- * master seed, and — when recorded — the same full trial plan, so their
- * records are interchangeable facts about the same deterministic
- * computation.
+ * master seed, and the same full trial plan, so their records are
+ * interchangeable facts about the same deterministic computation.
  */
 struct JournalHeader {
     std::string sweep;
     std::uint64_t master_seed = 0;
-    /// plan_hash() over the *full* sweep plan; 0 = not recorded
-    /// (legacy callers that only know the sweep name and seed).
+    /// plan_hash() over the *full* sweep plan.
     std::uint64_t plan_hash = 0;
     std::uint32_t shard_index = 0;
     /// Number of shards in the campaign; 0 = not a shard journal.
@@ -93,10 +91,6 @@ class JournalWriter
     void open(const std::string &path, const JournalHeader &header,
               bool append);
 
-    /** Legacy convenience: header with only name + master seed. */
-    void open(const std::string &path, const std::string &sweep,
-              std::uint64_t master_seed, bool append);
-
     bool is_open() const { return fd_ >= 0; }
 
     /** Appends one record and fsyncs it to disk. @throw Error on I/O. */
@@ -120,19 +114,14 @@ class JournalWriter
 
 /**
  * Reads every intact trial record of @p path (lease records are
- * skipped), validating the header against @p expect: sweep name and
- * master seed always; plan hash and shard identity only when @p expect
- * records them (nonzero). A torn or corrupt tail is truncated from the
- * file (recovery, reported on stderr), not an error.
+ * skipped), validating the header against @p expect: sweep name, master
+ * seed, and plan hash always; shard identity only when @p expect is a
+ * shard journal (nonzero shard_count). A torn or corrupt tail is
+ * truncated from the file (recovery, reported on stderr), not an error.
  * @throw Error when the file exists but belongs to a different sweep.
  */
 std::vector<JournalRecord> read_journal(const std::string &path,
                                         const JournalHeader &expect);
-
-/** Legacy convenience: validate only name + master seed. */
-std::vector<JournalRecord> read_journal(const std::string &path,
-                                        const std::string &sweep,
-                                        std::uint64_t master_seed);
 
 /**
  * Reads and returns just the header of @p path (merge diagnostics:

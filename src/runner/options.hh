@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared command-line interface of the experiment-runner benchmarks.
+ * Shared command-line interface of the sweep driver (anvil-sim).
  *
- * Every migrated bench binary accepts the same sweep-control flags
+ * Every sweep accepts the same sweep-control flags
  * (documented in EXPERIMENTS.md):
  *
  *   --jobs N           worker threads (default: one per hardware thread)
@@ -23,7 +23,7 @@
  * --backoff-ms and --shard-jobs. `anvil-sim merge` accepts --check.
  *
  * Unrecognized non-flag arguments are passed through as positionals so
- * benches keep their historical argument (e.g. seconds per cell).
+ * sweeps keep their historical argument (e.g. seconds per cell).
  */
 #ifndef ANVIL_RUNNER_OPTIONS_HH
 #define ANVIL_RUNNER_OPTIONS_HH
@@ -47,10 +47,10 @@ struct SupervisorCli {
     unsigned shard_jobs = 0;
 };
 
-/** Parsed command line of a runner-based bench binary. */
+/** Parsed command line of a runner-based sweep. */
 struct CliOptions {
     SweepOptions sweep;
-    /// --trials override; 0 keeps each bench's default.
+    /// --trials override; 0 keeps each sweep's default.
     std::uint64_t trials = 0;
     /// Non-flag arguments, in order.
     std::vector<std::string> positional;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.hh"
 #include "runner/json.hh"
 
 namespace anvil::runner {
@@ -98,6 +99,18 @@ ScenarioAggregate::set_derived(std::string name, double v)
         }
     }
     derived_.push_back(NamedValue{std::move(name), v});
+}
+
+double
+ScenarioAggregate::derived(std::string_view name) const
+{
+    for (const NamedValue &d : derived_) {
+        if (d.name == name)
+            return d.value;
+    }
+    throw Error("no derived value")
+        .with("scenario", name_)
+        .with("derived", std::string(name));
 }
 
 const RunningStat *
@@ -217,6 +230,15 @@ ResultSink::find(std::string_view name) const
             return &s;
     }
     return nullptr;
+}
+
+const ScenarioAggregate &
+ResultSink::at(std::string_view name) const
+{
+    if (const ScenarioAggregate *s = find(name))
+        return *s;
+    throw Error("no such scenario in the sweep results")
+        .with("scenario", std::string(name));
 }
 
 void

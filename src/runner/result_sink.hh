@@ -45,8 +45,11 @@ class ScenarioAggregate
     /** Folds one trial in (order matters; the sink guarantees it). */
     void add(const TrialSpec &spec, const TrialOutcome &outcome);
 
-    /** Attaches a derived scalar (computed by the bench from aggregates). */
+    /** Attaches a derived scalar (computed by finalize from aggregates). */
     void set_derived(std::string name, double v);
+
+    /** A derived scalar set by set_derived(). @throw Error when absent. */
+    double derived(std::string_view name) const;
 
     const std::string &name() const { return name_; }
     std::uint64_t trials() const { return trials_; }
@@ -118,6 +121,9 @@ class ResultSink
 
     /** Read-only lookup; nullptr when absent. */
     const ScenarioAggregate *find(std::string_view name) const;
+
+    /** Read-only lookup. @throw Error naming @p name when absent. */
+    const ScenarioAggregate &at(std::string_view name) const;
 
     /** Attaches a derived scalar to @p scenario_name. */
     void set_derived(std::string_view scenario_name, std::string name,

@@ -193,8 +193,8 @@ runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);
  * the fault-tolerance flags --retries/--trial-timeout/--resume/
  * --inject-fault), applying per-cell fixed trial counts and the sweep's
  * finalize hook (on the run's sink). Sets cli.sweep.name to the sweep's
- * name. Both the per-table bench binaries and the anvil-sim driver
- * funnel through here, so their anvil-sweep-v1 JSON is identical.
+ * name. Does NOT apply spec.render; the caller decides whether the run
+ * is complete enough to print.
  * @throw Error when the spec fails validation (validate.hh) or a
  *        --resume journal does not belong to this sweep.
  */

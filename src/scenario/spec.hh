@@ -6,8 +6,9 @@
  *
  * A ScenarioSpec is one cell of a paper table/figure (one runner
  * scenario: a row label plus N trials). A SweepSpec is a whole
- * table/figure: an ordered list of cells plus sweep-level metadata and an
- * optional finalize hook computing derived aggregates. Specs carry no
+ * table/figure: an ordered list of cells plus sweep-level metadata, an
+ * optional finalize hook computing derived aggregates, and an optional
+ * render hook printing the paper's tables. Specs carry no
  * behaviour; ScenarioBuilder (builder.hh) instantiates a spec into a
  * running testbed, and the ScenarioRegistry (registry.hh) names whole
  * sweeps so one driver binary can run any of them.
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -273,7 +275,7 @@ struct ScenarioSpec {
     std::uint64_t fixed_trials = 0;
 };
 
-/** A whole paper table/figure: named, ordered cells + aggregation hook. */
+/** A whole paper table/figure: named, ordered cells + result hooks. */
 struct SweepSpec {
     /// Registry key and JSON "sweep" name, e.g. "table3_detection".
     std::string name;
@@ -283,10 +285,13 @@ struct SweepSpec {
     std::vector<ScenarioSpec> cells;
     /// Default trials per cell when --trials is not given.
     std::uint64_t default_trials = 1;
-    /// Computes derived aggregates (set_derived) after the sweep runs;
-    /// shared by the bench binaries and the anvil-sim driver so both
-    /// emit identical JSON.
+    /// Computes derived aggregates (set_derived) after the sweep runs,
+    /// before the JSON report is written.
     std::function<void(runner::ResultSink &)> finalize;
+    /// Prints the paper's tables from the finalized results: scenarios
+    /// via ResultSink::at() and finalize's values via derived(). Runs
+    /// only on a complete, full-plan result, so every cell is present.
+    std::function<void(const runner::ResultSink &, std::ostream &)> render;
 };
 
 }  // namespace anvil::scenario

@@ -285,6 +285,17 @@ spec_at(const std::string &scenario, std::uint64_t trial,
     return s;
 }
 
+/** A single-process journal header; the plan hash is any fixed value. */
+runner::JournalHeader
+journal_header(const std::string &sweep, std::uint64_t master_seed)
+{
+    runner::JournalHeader header;
+    header.sweep = sweep;
+    header.master_seed = master_seed;
+    header.plan_hash = 0x91a2ULL;
+    return header;
+}
+
 TEST(Journal, RoundTripsEveryFieldBitExactly)
 {
     const std::string path = temp_path("roundtrip.journal");
@@ -317,7 +328,8 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
 
     {
         runner::JournalWriter writer;
-        writer.open(path, "synthetic", 0x5eedULL, /*append=*/false);
+        writer.open(path, journal_header("synthetic", 0x5eedULL),
+                    /*append=*/false);
         ASSERT_TRUE(writer.is_open());
         writer.append(spec, out);
         // A second, minimal record: ok status, no stat blocks.
@@ -327,7 +339,8 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     }
 
     const std::vector<runner::JournalRecord> records =
-        runner::read_journal(path, "synthetic", 0x5eedULL);
+        runner::read_journal(path,
+                             journal_header("synthetic", 0x5eedULL));
     ASSERT_EQ(records.size(), 2u);
 
     const runner::JournalRecord &rec = records[0];
@@ -361,7 +374,8 @@ TEST(Journal, TornTrailingRecordIsTruncatedAway)
     const std::string path = temp_path("torn.journal");
     {
         runner::JournalWriter writer;
-        writer.open(path, "synthetic", 1, /*append=*/false);
+        writer.open(path, journal_header("synthetic", 1),
+                    /*append=*/false);
         runner::TrialOutcome ok;
         ok.result.set_counter("events", 1);
         writer.append(spec_at("alpha", 0, 0), ok);
@@ -376,13 +390,13 @@ TEST(Journal, TornTrailingRecordIsTruncatedAway)
     }
 
     const std::vector<runner::JournalRecord> recovered =
-        runner::read_journal(path, "synthetic", 1);
+        runner::read_journal(path, journal_header("synthetic", 1));
     ASSERT_EQ(recovered.size(), 2u);
     EXPECT_EQ(recovered[1].spec.trial, 1u);
 
     // Recovery truncated the file: a second read sees a clean journal.
     const std::vector<runner::JournalRecord> again =
-        runner::read_journal(path, "synthetic", 1);
+        runner::read_journal(path, journal_header("synthetic", 1));
     EXPECT_EQ(again.size(), 2u);
 }
 
@@ -390,35 +404,65 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
 {
     const std::string missing = temp_path("never_written.journal");
     EXPECT_TRUE(
-        runner::read_journal(missing, "synthetic", 1).empty());
+        runner::read_journal(missing, journal_header("synthetic", 1))
+            .empty());
 
     const std::string garbage = temp_path("garbage.journal");
     {
         std::ofstream out(garbage, std::ios::binary);
         out << "this is not a journal";
     }
-    EXPECT_THROW(runner::read_journal(garbage, "synthetic", 1), Error);
+    EXPECT_THROW(
+        runner::read_journal(garbage, journal_header("synthetic", 1)),
+        Error);
 
     const std::string other = temp_path("other_sweep.journal");
     {
         runner::JournalWriter writer;
-        writer.open(other, "sweep_a", 1, /*append=*/false);
+        writer.open(other, journal_header("sweep_a", 1),
+                    /*append=*/false);
     }
     // Different name or master seed: refuse, with guidance.
     try {
-        runner::read_journal(other, "sweep_b", 1);
+        runner::read_journal(other, journal_header("sweep_b", 1));
         FAIL() << "foreign journal accepted";
     } catch (const Error &e) {
         EXPECT_NE(std::string(e.what()).find("different sweep"),
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(runner::read_journal(other, "sweep_a", 2), Error);
+    EXPECT_THROW(
+        runner::read_journal(other, journal_header("sweep_a", 2)), Error);
 
     // The append-side re-check refuses the same mismatch.
     runner::JournalWriter writer;
-    EXPECT_THROW(writer.open(other, "sweep_b", 1, /*append=*/true),
+    EXPECT_THROW(writer.open(other, journal_header("sweep_b", 1),
+                             /*append=*/true),
                  Error);
+}
+
+TEST(Journal, PlanHashIsAlwaysChecked)
+{
+    const std::string path = temp_path("plan.journal");
+    {
+        runner::JournalWriter writer;
+        writer.open(path, journal_header("synthetic", 1),
+                    /*append=*/false);
+    }
+    // Same name and seed, a different plan — including an unrecorded
+    // (zero) one: the journal describes some other computation.
+    for (const std::uint64_t plan : {std::uint64_t{0}, std::uint64_t{7}}) {
+        runner::JournalHeader expect = journal_header("synthetic", 1);
+        expect.plan_hash = plan;
+        try {
+            runner::read_journal(path, expect);
+            FAIL() << "journal of another plan accepted";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("different sweep plan"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

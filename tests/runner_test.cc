@@ -16,6 +16,7 @@
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
 #include "attack/memory_layout.hh"
+#include "common/error.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
@@ -309,6 +310,36 @@ TEST(Sweep, DerivedValuesAppearInJson)
     std::ostringstream os;
     sink.write_json(os);
     EXPECT_NE(os.str().find("\"twice_mean\""), std::string::npos);
+}
+
+TEST(ResultSink, ReadOnlyLookupsThrowNamingWhatIsMissing)
+{
+    runner::Sweep sweep(synthetic_options(1));
+    sweep.add_scenario("alpha", 2, synthetic_trial);
+    runner::SweepRun run = sweep.run();
+    run.sink.set_derived("alpha", "twice_mean", 2.0);
+    const runner::ResultSink &sink = run.sink;
+
+    EXPECT_EQ(sink.at("alpha").trials(), 2u);
+    EXPECT_EQ(sink.at("alpha").derived("twice_mean"), 2.0);
+    try {
+        sink.at("beta");
+        FAIL() << "at() returned a scenario the sweep never ran";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("scenario=beta"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        sink.at("alpha").derived("thrice_mean");
+        FAIL() << "derived() returned a value never set";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("derived=thrice_mean"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Unlike scenario(), a failed lookup adds nothing to the report.
+    EXPECT_EQ(sink.scenarios().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@
  * @file
  * Tests of the declarative scenario layer (src/scenario): registry
  * naming, builder determinism, ground-truth scoping of the detection
- * oracle, and byte-exact golden-JSON equivalence of a migrated sweep.
+ * oracle, byte-exact golden tables and JSON for every registered sweep,
+ * and — through the real anvil-sim binary (ANVIL_SIM_PATH) — where the
+ * driver sends its tables and what a replay run reports.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <sys/wait.h>
+#include <vector>
 
 #include "common/error.hh"
 #include "runner/options.hh"
@@ -159,32 +165,104 @@ TEST(ScenarioBuilder, DetectionOutsideAttackWindowIsFalsePositive)
         << "in-window detections must not be labeled false positives";
 }
 
-/**
- * Byte-exact equivalence gate for the migration: the table3 sweep run
- * through the scenario layer must reproduce the pre-refactor JSON
- * committed as tests/data/table3_golden.json (captured from the
- * hand-written bench at --trials 1 with the default master seed).
- * Parallelism must not matter, so the test runs on 2 jobs.
- */
-TEST(ScenarioGolden, Table3MatchesPreRefactorJson)
-{
-    std::ifstream in(std::string(ANVIL_TEST_DATA_DIR) +
-                     "/table3_golden.json");
-    ASSERT_TRUE(in) << "missing tests/data/table3_golden.json";
-    std::ostringstream golden;
-    golden << in.rdbuf();
+// ---------------------------------------------------------------------------
+// Goldens: every registered sweep's tables and report, byte for byte
+// ---------------------------------------------------------------------------
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << "cannot read " << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+std::string
+data_path(const std::string &relative)
+{
+    return std::string(ANVIL_TEST_DATA_DIR) + "/" + relative;
+}
+
+/// The positional arguments each sweep's goldens were captured with (all
+/// at --trials 1 and the default master seed), sized so the whole
+/// catalog runs in seconds.
+std::vector<std::string>
+golden_args(const std::string &sweep)
+{
+    if (sweep == "table4_false_positives" ||
+        sweep == "table5_fp_sensitivity")
+        return {"0.2"};
+    if (sweep == "noisy_neighbor_fp")
+        return {"0.1"};
+    if (sweep == "fig3_overhead" || sweep == "fig4_sensitivity")
+        return {"20000"};
+    return {};
+}
+
+/// table3 keeps the JSON golden that pinned the scenario-layer migration.
+std::string
+golden_json_path(const std::string &sweep)
+{
+    return sweep == "table3_detection"
+               ? data_path("table3_golden.json")
+               : data_path("sweeps/" + sweep + ".json");
+}
+
+std::vector<std::string>
+registered_sweeps()
+{
+    std::vector<std::string> names;
+    for (const scenario::SweepFactory &factory :
+         scenario::paper_registry().all())
+        names.push_back(factory.name);
+    return names;
+}
+
+class SweepGolden : public ::testing::TestWithParam<std::string>
+{
+};
+
+/**
+ * Runs the sweep in-process exactly as anvil-sim does (make, run,
+ * finalize, render) and byte-compares the JSON report and the console
+ * tables with goldens captured from the original per-table binaries.
+ * Runs on 2 jobs: parallelism must not matter. A sweep without a
+ * console golden must not render anything.
+ */
+TEST_P(SweepGolden, TablesAndJsonMatchGoldens)
+{
+    const std::string name = GetParam();
     runner::CliOptions cli;
     cli.trials = 1;
     cli.sweep.jobs = 2;
-    scenario::SweepSpec spec =
-        scenario::paper_registry().at("table3_detection").make(cli);
+    cli.positional = golden_args(name);
+    const scenario::SweepSpec spec =
+        scenario::paper_registry().at(name).make(cli);
     runner::SweepRun run = scenario::run_sweep(spec, cli);
+    ASSERT_TRUE(run.complete());
 
-    std::ostringstream produced;
-    run.sink.write_json(produced);
-    EXPECT_EQ(produced.str(), golden.str());
+    std::ostringstream json;
+    run.sink.write_json(json);
+    EXPECT_EQ(json.str(), slurp(golden_json_path(name)));
+
+    const std::string console = data_path("console/" + name + ".txt");
+    if (std::ifstream(console).good()) {
+        ASSERT_TRUE(spec.render);
+        std::ostringstream tables;
+        spec.render(run.sink, tables);
+        EXPECT_EQ(tables.str(), slurp(console));
+    } else {
+        EXPECT_FALSE(spec.render);
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, SweepGolden, ::testing::ValuesIn(registered_sweeps()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 /**
  * The tracker-zoo sweep is part of the parallel-determinism contract:
@@ -348,5 +426,76 @@ TEST(Validate, BuilderRefusesToBuildAnInvalidSpec)
     scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
     EXPECT_THROW(builder.build(), Error);
 }
+
+// ---------------------------------------------------------------------------
+// The anvil-sim driver, end to end
+// ---------------------------------------------------------------------------
+
+#ifdef ANVIL_SIM_PATH
+
+/** Runs @p command through the shell; its exit code, or -1. */
+int
+run_command(const std::string &command)
+{
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string
+temp_path(const std::string &name)
+{
+    const std::string path =
+        ::testing::TempDir() + "anvil_scenario_test_" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+/**
+ * `--json-out -` claims stdout for the report: stdout is exactly the
+ * JSON golden and the tables move, byte for byte, to stderr.
+ */
+TEST(AnvilSim, JsonOnStdoutMovesTheTablesToStderr)
+{
+    const std::string out = temp_path("stdout.json");
+    const std::string err = temp_path("stderr.txt");
+    EXPECT_EQ(run_command(std::string(ANVIL_SIM_PATH) +
+                          " table1_attacks --trials 1 --jobs 2"
+                          " --json-out - > " + out + " 2> " + err),
+              0);
+    EXPECT_EQ(slurp(out), slurp(golden_json_path("table1_attacks")));
+    const std::string tables = slurp(data_path("console/table1_attacks.txt"));
+    EXPECT_NE(slurp(err).find(tables), std::string::npos);
+    std::remove(out.c_str());
+    std::remove(err.c_str());
+}
+
+/**
+ * A --replay-trial run holds one trial's scenario: the report lists only
+ * that scenario, and no tables are printed (they need every cell).
+ */
+TEST(AnvilSim, ReplayRunReportsOnlyTheReplayedScenario)
+{
+    const std::string json = temp_path("replay.json");
+    const std::string out = temp_path("replay_stdout.txt");
+    EXPECT_EQ(run_command(std::string(ANVIL_SIM_PATH) +
+                          " table1_attacks --trials 1 --jobs 1"
+                          " --replay-trial 0 --json-out " + json + " > " +
+                          out + " 2>/dev/null"),
+              0);
+    const std::string report = slurp(json);
+    std::size_t scenarios = 0;
+    for (std::size_t at = report.find("\"trials\":");
+         at != std::string::npos;
+         at = report.find("\"trials\":", at + 1))
+        ++scenarios;
+    EXPECT_EQ(scenarios, 1u) << report;
+    EXPECT_NE(report.find("\"name\": \"single-sided/64ms\""),
+              std::string::npos);
+    EXPECT_EQ(slurp(out), "");
+    std::remove(json.c_str());
+    std::remove(out.c_str());
+}
+
+#endif  // ANVIL_SIM_PATH
 
 }  // namespace

@@ -12,8 +12,10 @@
  *
  * The sweep definitions live in the scenario catalog
  * (src/scenario/catalog.cc); this binary only resolves the name, runs
- * the sweep through the shared parallel runner, and emits the standard
- * `anvil-sweep-v1` JSON report. `supervise` splits the sweep's trial
+ * the sweep through the shared parallel runner, prints the sweep's paper
+ * tables (stdout, or stderr when `--json-out -` claims stdout), and
+ * emits the standard `anvil-sweep-v1` JSON report. `supervise` splits
+ * the sweep's trial
  * plan over --shards child processes (each `anvil-sim shard`, its own
  * crash-isolated checkpoint journal), restarts or requeues dead shards,
  * and merges the journals into a report byte-identical to a
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +87,19 @@ require_file_json_out(const runner::CliOptions &cli, const char *verb)
                  "live next to the JSON report)\n",
                  verb);
     return false;
+}
+
+/**
+ * Prints @p spec's paper tables from a finalized, complete result: to
+ * stdout, or to stderr when the JSON report is written to stdout.
+ */
+void
+render_tables(const scenario::SweepSpec &spec,
+              const runner::ResultSink &sink,
+              const runner::SweepOptions &options)
+{
+    if (spec.render)
+        spec.render(sink, options.json_out == "-" ? std::cerr : std::cout);
 }
 
 /** Prints merge diagnostics; returns the verb's exit code. */
@@ -207,6 +223,7 @@ run_supervise(const scenario::SweepFactory &factory,
         return report_merge_problems(merge);
     if (spec.finalize)
         spec.finalize(merge.sink);
+    render_tables(spec, merge.sink, cli.sweep);
     if (!runner::write_json_output(merge.sink, cli.sweep))
         return runner::kExitJsonError;
     // The report is durable; the shard journals' work is committed.
@@ -249,6 +266,7 @@ run_merge(const scenario::SweepSpec &spec, runner::CliOptions &cli)
     }
     if (spec.finalize)
         spec.finalize(merge.sink);
+    render_tables(spec, merge.sink, cli.sweep);
     if (!runner::write_json_output(merge.sink, cli.sweep))
         return runner::kExitJsonError;
     runner::remove_shard_journals(cli.sweep.json_out, mo.shard_count);
@@ -308,8 +326,8 @@ main(int argc, char **argv)
         return runner::kExitUsage;
     }
 
-    // The sweep sees its own positionals exactly as its bench binary
-    // would: argument 0 is the first after the sweep name.
+    // The sweep sees its own positionals from index 0: argument 0 is
+    // the first after the sweep name.
     cli.positional.erase(cli.positional.begin());
 
     // SIGINT/SIGTERM drain instead of kill: in-flight trials (or shard
@@ -326,6 +344,9 @@ main(int argc, char **argv)
         if (verb == "merge")
             return run_merge(spec, cli);
         runner::SweepRun run = scenario::run_sweep(spec, cli);
+        // A drained or single-trial run lacks cells the tables need.
+        if (run.complete() && !cli.sweep.replay_trial)
+            render_tables(spec, run.sink, cli.sweep);
         return runner::finish_sweep(run, cli.sweep);
     } catch (const Error &e) {
         // Configuration-level faults (spec validation, a --resume journal
