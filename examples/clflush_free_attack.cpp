@@ -37,7 +37,7 @@ main()
     attack::MemoryLayout &layout = intruder.layout;
     std::printf("mapped %llu MB, scanned %zu pages via pagemap\n",
                 static_cast<unsigned long long>(
-                    scenario::Attacker::kBufferBytes >> 20),
+                    intruder.buffer_bytes >> 20),
                 layout.pages_scanned());
 
     // -- Stage 2: find a double-sided target ------------------------------

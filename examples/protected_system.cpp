@@ -11,6 +11,7 @@
 #include "attack/hammer.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
+#include "scenario/scheduler.hh"
 #include "scenario/testbed.hh"
 #include "workload/workload.hh"
 
@@ -36,12 +37,12 @@ main()
     // Ordinary multiprogrammed load.
     workload::Workload mcf(machine, workload::spec_profile("mcf"));
     workload::Workload gcc(machine, workload::spec_profile("gcc"));
-    workload::Runner runner(machine);
-    runner.add([&] { mcf.step(); });
-    runner.add([&] { gcc.step(); });
+    scenario::TenantScheduler benign(machine);
+    benign.add({.name = "mcf", .step = [&] { mcf.step(); }});
+    benign.add({.name = "gcc", .step = [&] { gcc.step(); }});
 
     std::printf("\n-- phase 1: benign workloads only (300 ms) --\n");
-    runner.run_for(ms(300));
+    benign.run_until(machine.now() + ms(300));
     std::printf("stage-1 windows: %llu, escalations to sampling: %llu, "
                 "false-positive refreshes: %llu\n",
                 static_cast<unsigned long long>(
@@ -61,15 +62,15 @@ main()
     }
     attack::ClflushDoubleSided hammer(machine, intruder.space->pid(),
                                       targets.front());
-    workload::Runner mixed(machine);
-    mixed.add([&] { hammer.step(); });
-    mixed.add([&] { mcf.step(); });
-    mixed.add([&] { gcc.step(); });
+    scenario::TenantScheduler mixed(machine);
+    mixed.add({.name = "attacker", .step = [&] { hammer.step(); }});
+    mixed.add({.name = "mcf", .step = [&] { mcf.step(); }});
+    mixed.add({.name = "gcc", .step = [&] { gcc.step(); }});
 
     attack_running = true;
     const Tick attack_start = machine.now();
     const auto detections_before = anvil.stats().detections;
-    mixed.run_for(ms(200));
+    mixed.run_until(machine.now() + ms(200));
     attack_running = false;
 
     const auto &stats = anvil.stats();
@@ -93,7 +94,7 @@ main()
                     static_cast<double>(machine.now()));
 
     std::printf("\n-- phase 3: attacker leaves; system keeps running --\n");
-    runner.run_for(ms(100));
+    benign.run_until(machine.now() + ms(100));
     std::printf("final bit-flip count: %zu (the attack never landed)\n",
                 machine.dram().flips().size());
     return 0;

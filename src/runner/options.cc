@@ -1,10 +1,15 @@
 #include "runner/options.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string_view>
 
+#include "common/error.hh"
 #include "runner/shard.hh"
 
 namespace anvil::runner {
@@ -61,16 +66,27 @@ print_usage(const char *prog, const std::string &extra)
         std::cerr << extra << "\n";
 }
 
-/** Parses a uint64 flag value; exits 2 with usage on garbage. */
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * Parses an unsigned flag value no larger than @p max; exits 2 with
+ * usage on garbage, a sign, or an out-of-range value.
+ */
 std::uint64_t
-parse_u64(const char *prog, const std::string &extra,
-          std::string_view flag, const char *text)
+parse_u64(const char *prog, const std::string &extra, std::string_view flag,
+          const char *text,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
+    // strtoull skips leading blanks and negates a leading '-' (so "-1"
+    // would parse as 2^64-1): insist on a digit first.
+    const bool digit = std::isdigit(static_cast<unsigned char>(*text));
+    errno = 0;
     char *end = nullptr;
     const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
+    if (!digit || *end != '\0' || errno == ERANGE || v > max) {
         std::cerr << prog << ": bad value for " << flag << ": '" << text
-                  << "'\n";
+                  << "' (expected an unsigned integer <= " << max
+                  << ")\n";
         print_usage(prog, extra);
         std::exit(2);
     }
@@ -84,7 +100,17 @@ CliOptions::positional_double(std::size_t index, double fallback) const
 {
     if (index >= positional.size())
         return fallback;
-    return std::atof(positional[index].c_str());
+    const char *text = positional[index].c_str();
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < 0.0) {
+        throw Error("positional argument must be a non-negative number")
+            .with("index", static_cast<std::uint64_t>(index))
+            .with("value", positional[index]);
+    }
+    return v;
 }
 
 CliOptions
@@ -122,7 +148,7 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             std::exit(0);
         } else if (arg == "--jobs" || arg == "-j") {
             opts.sweep.jobs = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--master-seed") {
             opts.sweep.master_seed =
                 parse_u64(prog, extra_usage, arg, take_value());
@@ -135,7 +161,7 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
                 parse_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--retries") {
             opts.sweep.retries = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--trial-timeout") {
             opts.sweep.trial_timeout =
                 parse_u64(prog, extra_usage, arg, take_value());
@@ -152,10 +178,10 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             }
         } else if (arg == "--shard-index") {
             shard_index = static_cast<std::uint32_t>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--shard-count") {
             shard_count = static_cast<std::uint32_t>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--shard-trials") {
             shard_trials = take_value();
         } else if (arg == "--lease-interval-ms") {
@@ -163,10 +189,10 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
                 parse_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--shards") {
             opts.supervisor.shards = static_cast<std::uint32_t>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--respawn-budget") {
             opts.supervisor.respawn_budget = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--lease-timeout-ms") {
             opts.supervisor.lease_timeout_ms =
                 parse_u64(prog, extra_usage, arg, take_value());
@@ -175,7 +201,7 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
                 parse_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--shard-jobs") {
             opts.supervisor.shard_jobs = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+                parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--check") {
             opts.check = true;
         } else if (arg.rfind("--", 0) == 0) {

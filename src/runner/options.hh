@@ -66,7 +66,10 @@ struct CliOptions {
         return trials != 0 ? trials : bench_default;
     }
 
-    /** Positional @p index parsed as double, else @p fallback. */
+    /**
+     * Positional @p index parsed as double, else @p fallback.
+     * @throw Error when it is not a finite, non-negative number.
+     */
     double positional_double(std::size_t index, double fallback) const;
 
     /**

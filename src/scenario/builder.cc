@@ -118,18 +118,18 @@ ScenarioBuilder::build()
     if (spec_.seed_vm_from_trial)
         e.config_.vm_seed = ctx_.seed_for("vm");
 
-    const std::vector<TenantSpec> tenants = normalized_tenants(spec_);
+    const std::vector<TenantSpec> tenants =
+        normalized_tenants(spec_.tenants);
 
     e.machine_ = std::make_unique<mem::MemorySystem>(e.config_);
     e.pmu_ = std::make_unique<pmu::Pmu>(*e.machine_);
 
     // Attacker processes map and scan their buffers right after the
-    // machine comes up (the legacy Testbed sequence), before any
-    // workload arena claims frames.
+    // machine comes up, before any workload arena claims frames.
     for (const TenantSpec &t : tenants) {
-        if (t.attack) {
+        if (const auto *attack = std::get_if<AttackSpec>(&t.payload)) {
             e.intruders_.push_back(std::make_unique<Attacker>(
-                *e.machine_, t.attack->buffer_bytes));
+                *e.machine_, attack->buffer_bytes));
         }
     }
 
@@ -154,14 +154,14 @@ ScenarioBuilder::build()
 
     const auto build_workloads = [&] {
         for (const TenantSpec &t : tenants) {
-            if (!t.workload)
+            const auto *ws = std::get_if<WorkloadSpec>(&t.payload);
+            if (ws == nullptr)
                 continue;
-            const WorkloadSpec &ws = *t.workload;
             workload::SpecProfile profile =
-                workload::spec_profile(ws.profile);
-            if (!ws.seed_stream.empty())
-                profile.seed = ctx_.seed_for(ws.seed_stream);
-            if (ws.boost_thrash)
+                workload::spec_profile(ws->profile);
+            if (!ws->seed_stream.empty())
+                profile.seed = ctx_.seed_for(ws->seed_stream);
+            if (ws->boost_thrash)
                 e.boost_ *= boost_thrash_rate(profile);
             e.workloads_.push_back(
                 std::make_unique<workload::Workload>(e.machine(),
@@ -202,16 +202,15 @@ ScenarioBuilder::build()
     for (const TenantSpec &t : tenants) {
         BuiltTenant built;
         built.name = t.name;
-        built.quantum_accesses =
-            t.quantum_accesses != 0 ? t.quantum_accesses : 1;
+        built.quantum_accesses = t.quantum_accesses;
         built.start_delay = t.start_delay.empty() ? 0 : draw(t.start_delay);
-        if (t.attack) {
+        if (const auto *attack = std::get_if<AttackSpec>(&t.payload)) {
             built.is_attacker = true;
             built.payload = attacker_index;
             Attacker &intruder = *e.intruders_[attacker_index];
             built.pid = intruder.pid();
             e.attacks_.push_back(
-                build_attack(*t.attack, e.machine(), intruder));
+                build_attack(*attack, e.machine(), intruder));
             ++attacker_index;
         } else {
             built.payload = workload_index;

@@ -9,7 +9,7 @@
  *
  *   1. machine + PMU, with the trial's "vm" sub-stream seeding the page
  *      allocator; then every attacker tenant's process (buffer mmap +
- *      pagemap scan), in tenant order — the legacy Testbed sequence;
+ *      pagemap scan), in tenant order;
  *   2. hardware mitigation attached to the DRAM device;
  *   3. pre-detector clock advance (layout/refresh-phase jitter);
  *   4. workload tenants' processes (each seeded from its named
@@ -18,10 +18,10 @@
  *   6. free-run advance (the attack starts at a seed-chosen phase);
  *   7. attack target selection and hammer construction, in tenant order.
  *
- * The run phase hands every tenant to the TenantScheduler
- * (scheduler.hh): round-robin quanta measured in simulated accesses,
- * which with all-default quanta reproduces the legacy interleave loops
- * exactly — single-tenant specs are the degenerate 1-tenant case.
+ * The interleaving run modes hand every tenant to the TenantScheduler
+ * (scheduler.hh): round-robin quanta measured in simulated accesses, in
+ * the order of ScenarioSpec::tenants — single-tenant specs are the
+ * degenerate 1-tenant case.
  *
  * Ground-truth labeling: the builder installs an oracle that returns
  * true exactly while the run phase's attack is in flight, so a detection
@@ -104,7 +104,7 @@ class Execution
         return workloads_;
     }
 
-    /** All tenants in schedule order (attacks, workloads, explicit). */
+    /** All tenants in schedule order (ScenarioSpec::tenants order). */
     const std::vector<BuiltTenant> &tenants() const { return tenants_; }
 
     /**

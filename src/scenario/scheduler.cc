@@ -11,38 +11,21 @@ constexpr Tick kNoDeadline = ~static_cast<Tick>(0);
 }  // namespace
 
 std::vector<TenantSpec>
-normalized_tenants(const ScenarioSpec &spec)
+normalized_tenants(std::vector<TenantSpec> tenants)
 {
-    std::vector<TenantSpec> out;
-    out.reserve(spec.attacks.size() + spec.workloads.size() +
-                spec.tenants.size());
-    for (const AttackSpec &attack : spec.attacks) {
-        TenantSpec t;
-        t.attack = attack;
-        out.push_back(std::move(t));
-    }
-    for (const WorkloadSpec &workload : spec.workloads) {
-        TenantSpec t;
-        t.workload = workload;
-        out.push_back(std::move(t));
-    }
-    out.insert(out.end(), spec.tenants.begin(), spec.tenants.end());
-
     std::map<std::string, std::uint32_t> used;
-    for (TenantSpec &t : out) {
+    for (TenantSpec &t : tenants) {
         std::string base = t.name;
         if (base.empty()) {
-            if (t.attack)
-                base = "attacker";
-            else if (t.workload && !t.workload->profile.empty())
-                base = t.workload->profile;
+            if (const auto *w = std::get_if<WorkloadSpec>(&t.payload))
+                base = w->profile.empty() ? "tenant" : w->profile;
             else
-                base = "tenant";
+                base = "attacker";
         }
         const std::uint32_t n = ++used[base];
         t.name = n == 1 ? base : base + "#" + std::to_string(n);
     }
-    return out;
+    return tenants;
 }
 
 void

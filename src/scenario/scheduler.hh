@@ -1,16 +1,15 @@
 /**
  * @file
  * Deterministic multi-tenant scheduler: time-slices N tenant processes
- * (attackers and workloads) round-robin over the one shared machine,
- * replacing the ad-hoc interleave loops the RunSpec run modes used.
+ * (attackers and workloads) round-robin over the one shared machine. It
+ * is the only interleaver: the RunSpec run modes, the examples, and the
+ * tests all hand their processes to it.
  *
  * Quanta are measured in completed simulated accesses — never wall
  * clock, thread identity, or iteration counts that drift with host
  * speed — so a schedule is a pure function of the tenant list and the
  * trial seed, and parallel sweeps stay byte-identical to serial ones.
- * With every quantum at 1 the scheduler reproduces, step for step, the
- * legacy one-step-per-turn interleave (workload::Runner), which keeps
- * all committed single-tenant sweep JSON unchanged.
+ * With every quantum at 1 and no pid, each turn is exactly one step.
  */
 #ifndef ANVIL_SCENARIO_SCHEDULER_HH
 #define ANVIL_SCENARIO_SCHEDULER_HH
@@ -28,14 +27,11 @@
 namespace anvil::scenario {
 
 /**
- * Flattens a spec's legacy `attacks`/`workloads` shorthands and its
- * explicit `tenants` into one ordered tenant list: attacks first, then
- * workloads, then explicit tenants, each in declaration order (the order
- * the legacy interleave loops stepped them). Empty names are derived
- * from the payload (profile name, or "attacker"); colliding names get
- * "#2", "#3", ... suffixes in list order.
+ * Names every tenant: empty names are derived from the payload (profile
+ * name, or "attacker"), and colliding names get "#2", "#3", ... suffixes
+ * in list order. The order of the list is unchanged.
  */
-std::vector<TenantSpec> normalized_tenants(const ScenarioSpec &spec);
+std::vector<TenantSpec> normalized_tenants(std::vector<TenantSpec> tenants);
 
 /** One runnable tenant handed to the scheduler. */
 struct ScheduledTenant {
@@ -80,18 +76,17 @@ class TenantScheduler
 
     /**
      * Runs the round-robin schedule until the clock reaches @p deadline.
-     * The deadline is checked before every step (the legacy
-     * workload::Runner contract), so a tenant never starts a step at or
-     * past the deadline. With no runnable tenant the clock jumps to the
-     * earliest arrival (or the deadline).
+     * The deadline is checked before every step, so a tenant never
+     * starts a step at or past the deadline. With no runnable tenant
+     * the clock jumps to the earliest arrival (or the deadline).
      */
     void run_until(Tick deadline);
 
     /**
      * Runs whole round-robin rounds while @p more returns true,
-     * checking the predicate once per round — the legacy
-     * kInterleaveUntilOps contract (every tenant gets its quantum each
-     * round, even after the lead workload crosses its quota mid-round).
+     * checking the predicate once per round — the kInterleaveUntilOps
+     * contract (every tenant gets its quantum each round, even after
+     * the lead workload crosses its quota mid-round).
      * @pre at least one tenant's step can eventually satisfy !more().
      */
     void run_rounds(const std::function<bool()> &more);

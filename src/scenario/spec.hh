@@ -1,8 +1,8 @@
 /**
  * @file
  * The declarative scenario layer: every paper experiment — machine,
- * detector, attacks, background workloads, phase jitter, run mode, and
- * measurement outputs — expressed as data.
+ * detector, tenant processes (attackers and benign workloads), phase
+ * jitter, run mode, and measurement outputs — expressed as data.
  *
  * A ScenarioSpec is one cell of a paper table/figure (one runner
  * scenario: a row label plus N trials). A SweepSpec is a whole
@@ -10,7 +10,7 @@
  * optional finalize hook computing derived aggregates, and an optional
  * render hook printing the paper's tables. Specs carry no
  * behaviour; ScenarioBuilder (builder.hh) instantiates a spec into a
- * running testbed, and the ScenarioRegistry (registry.hh) names whole
+ * running machine, and the ScenarioRegistry (registry.hh) names whole
  * sweeps so one driver binary can run any of them.
  *
  * Evaluations of rowhammer defenses live or die on how easily new
@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "anvil/config.hh"
@@ -51,21 +52,16 @@ enum class AttackKind {
     kTrackerThrash,
 };
 
-/** How the attacker picks its target among the scanned candidates. */
-enum class TargetPolicy {
-    /// First candidate whose victim has the module's minimum flip
-    /// threshold (slice-compatibility is additionally required for the
-    /// CLFLUSH-free attack). This is how all paper experiments select.
-    kWeakestVictim,
-};
-
 /// The paper's attacker buffer: 64 MB mapped and scanned via pagemap.
 inline constexpr std::uint64_t kDefaultAttackBufferBytes = 64ULL << 20;
 
-/** One attacker in the scenario. */
+/**
+ * One attacker in the scenario. It targets the first scanned candidate
+ * whose victim has the module's minimum flip threshold (slice-compatible
+ * for the CLFLUSH-free attack), as every paper experiment does.
+ */
 struct AttackSpec {
     AttackKind kind = AttackKind::kClflushDoubleSided;
-    TargetPolicy target = TargetPolicy::kWeakestVictim;
     /// Bytes the attacker mmaps and scans for targets. Must be a nonzero
     /// power of two of at least one THP block, and all attackers together
     /// must fit the huge-page pool (validate.cc enforces both).
@@ -110,49 +106,48 @@ struct PhaseJitter {
 };
 
 /**
- * One tenant process of a multi-tenant scenario: an attacker OR a benign
- * workload, co-scheduled with every other tenant on the one shared
- * machine (shared frame allocator, caches, DRAM, and detector). The
- * legacy `attacks`/`workloads` shorthands normalize into tenants (see
- * normalized_tenants in scheduler.hh), so single-tenant specs are just
- * the degenerate one-entry case.
+ * One tenant process of a scenario: an attacker OR a benign workload,
+ * co-scheduled with every other tenant on the one shared machine (shared
+ * frame allocator, caches, DRAM, and detector). A single-process cell is
+ * the degenerate one-entry list.
  */
 struct TenantSpec {
+    /// What the process runs.
+    std::variant<AttackSpec, WorkloadSpec> payload;
+
     /// Attribution label: the JSON counter suffix ("ops/<name>",
     /// "detections/<name>") and the name detections are scored against.
     /// Empty derives the label from the payload (the workload's profile
     /// name, or "attacker"); colliding labels are deduplicated with
-    /// "#2", "#3", ... suffixes in declaration order.
-    std::string name;
-
-    /// Exactly one of attack/workload must be set (validate.cc).
-    std::optional<AttackSpec> attack;
-    std::optional<WorkloadSpec> workload;
+    /// "#2", "#3", ... suffixes in declaration order (normalized_tenants
+    /// in scheduler.hh).
+    std::string name{};
 
     /// Scheduler quantum in completed memory accesses: how much of this
-    /// tenant runs before the next tenant gets the core. 1 reproduces
-    /// the legacy one-step-per-turn interleave; larger quanta model
-    /// coarser OS time slices. A tenant step that completes no counted
-    /// access (e.g. a pure-CLFLUSH iteration) still consumes one unit,
-    /// so every quantum makes forward progress.
+    /// tenant runs before the next tenant gets the core. 1 is the
+    /// one-step-per-turn interleave; larger quanta model coarser OS time
+    /// slices. A tenant step that completes no counted access (e.g. a
+    /// pure-CLFLUSH iteration) still consumes one unit, so every quantum
+    /// makes forward progress.
     std::uint64_t quantum_accesses = 1;
 
     /// The tenant joins the schedule only after this (seed-jittered)
     /// advance past run start — staggered tenant arrival. While every
     /// tenant is still waiting, the scheduler jumps the clock to the
     /// first arrival.
-    PhaseJitter start_delay;
+    PhaseJitter start_delay{};
 };
 
 /** What the run phase of the scenario does. */
 enum class RunMode {
-    /// Interleave all attacks and workloads round-robin for `duration`
-    /// (a single workload with no attack runs directly).
+    /// Interleave all tenants round-robin for `duration`.
     kInterleaveFor,
-    /// Each workload executes `ops` operations (fixed-work slowdowns).
+    /// Each workload tenant executes `ops` operations, one after the
+    /// other (fixed-work slowdowns).
     kWorkloadOps,
-    /// Align to the victim's refresh, then run the hammer kernel until
-    /// first flip or one refresh period plus `duration` of grace.
+    /// Align to the first attacker's victim refresh, then run its
+    /// hammer kernel until first flip or one refresh period plus
+    /// `duration` of grace.
     kHammerToFirstFlip,
     /// Step the hammer until first flip or `duration` elapses, advancing
     /// `step_gap` of think time between iterations (spread-out attacks).
@@ -160,8 +155,8 @@ enum class RunMode {
     /// Warm the hammer up, then measure per-iteration cache/DRAM/latency
     /// behaviour over `iterations` iterations (Figure 1b cost model).
     kPatternMeasure,
-    /// Interleave all attacks and workloads round-robin until the FIRST
-    /// workload completes `ops` operations (fixed-work slowdown under
+    /// Interleave all tenants round-robin until the FIRST workload
+    /// tenant completes `ops` operations (fixed-work slowdown under
     /// live attack pressure — e.g. tracker-thrash refresh storms).
     kInterleaveUntilOps,
 };
@@ -236,14 +231,11 @@ struct ScenarioSpec {
     /// decorrelation across trials).
     PhaseJitter pre_detector;
 
-    /// Benign workloads, constructed before the detector loads.
-    std::vector<WorkloadSpec> workloads;
-
-    /// Start the detector before constructing workloads. Anvil::start()
-    /// charges its first stage-1 check to the simulated clock, so the
-    /// construction order shifts the workloads' thrash-phase schedule
-    /// relative to the detector windows; scenarios pin whichever order
-    /// their measurement was calibrated against.
+    /// Start the detector before constructing the workload tenants.
+    /// Anvil::start() charges its first stage-1 check to the simulated
+    /// clock, so the construction order shifts the workloads'
+    /// thrash-phase schedule relative to the detector windows; scenarios
+    /// pin whichever order their measurement was calibrated against.
     bool detector_before_workloads = false;
 
     /// The detector; nullopt runs unprotected.
@@ -254,16 +246,11 @@ struct ScenarioSpec {
     /// attack begins at an arbitrary (seed-chosen) window phase.
     PhaseJitter pre_attack;
 
-    /// Attackers (target selection + hammer construction happen after
-    /// the free-run window, like a process that just started).
-    std::vector<AttackSpec> attacks;
-
-    /// Explicit tenants scheduled alongside the legacy shorthands.
-    /// Normalized execution (and attribution) order is: `attacks`, then
-    /// `workloads`, then `tenants`, each in declaration order. Process
-    /// creation keeps the legacy phase order regardless (attacker spaces
-    /// scan right after machine construction; workload arenas map at the
-    /// workload-construction point), so pids follow build order, not
+    /// Every process of the cell, in schedule (and attribution) order.
+    /// Process creation follows the build phases instead (attacker
+    /// spaces scan right after machine construction, workload arenas map
+    /// at the workload-construction point, attack targets are chosen
+    /// after the free-run window), so pids follow build order, not
     /// schedule order.
     std::vector<TenantSpec> tenants;
 

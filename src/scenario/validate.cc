@@ -88,7 +88,7 @@ needs_detector(Output output)
 }
 
 bool
-needs_testbed(Output output)
+needs_attacker(Output output)
 {
     switch (output) {
       case Output::kFlips:
@@ -154,54 +154,51 @@ validate(const ScenarioSpec &spec)
                          "would flip its neighbours immediately");
     }
 
-    for (const TenantSpec &t : spec.tenants) {
-        if (t.attack.has_value() == t.workload.has_value()) {
-            throw cell_error(spec,
-                             "a tenant must carry exactly one payload — "
-                             "either an attack or a workload, not both "
-                             "and not neither")
-                .with("tenant", t.name.empty() ? "<unnamed>" : t.name);
-        }
+    const std::vector<TenantSpec> tenants = normalized_tenants(spec.tenants);
+    bool has_attack = false;
+    std::size_t workload_tenants = 0;
+    std::uint64_t buffer_total = 0;
+    for (const TenantSpec &t : tenants) {
         if (t.quantum_accesses == 0) {
             throw cell_error(spec,
                              "tenant quantum_accesses is zero — the "
                              "scheduler grants quanta in completed "
                              "simulated accesses, so every tenant needs "
                              "at least one")
-                .with("tenant", t.name.empty() ? "<unnamed>" : t.name);
+                .with("tenant", t.name);
         }
-    }
-
-    const std::vector<TenantSpec> tenants = normalized_tenants(spec);
-    bool has_attack = false;
-    std::size_t workload_tenants = 0;
-    std::uint64_t buffer_total = 0;
-    for (const TenantSpec &t : tenants) {
-        if (t.attack) {
-            has_attack = true;
-            const std::uint64_t bytes = t.attack->buffer_bytes;
-            if (bytes == 0 || !is_pow2(bytes)) {
-                throw cell_error(spec,
-                                 "attack buffer_bytes must be a nonzero "
-                                 "power of two — the pagemap scan walks "
-                                 "the buffer in pow2 strides")
-                    .with("tenant", t.name)
-                    .with("buffer_bytes", bytes);
-            }
-            if (bytes < mem::kHugeBytes) {
-                throw cell_error(spec,
-                                 "attack buffer_bytes is below one huge "
-                                 "page — the attacker maps 2 MB THP "
-                                 "frames, so smaller buffers cannot be "
-                                 "placed")
-                    .with("tenant", t.name)
-                    .with("buffer_bytes", bytes)
-                    .with("huge_page_bytes", mem::kHugeBytes);
-            }
-            buffer_total += bytes;
-        } else {
+        if (const auto *ws = std::get_if<WorkloadSpec>(&t.payload)) {
             ++workload_tenants;
+            try {
+                (void)workload::spec_profile(ws->profile);
+            } catch (const std::out_of_range &) {
+                throw cell_error(spec, "unknown workload profile")
+                    .with("profile", ws->profile)
+                    .with("known", known_profiles());
+            }
+            continue;
         }
+        has_attack = true;
+        const std::uint64_t bytes =
+            std::get<AttackSpec>(t.payload).buffer_bytes;
+        if (bytes == 0 || !is_pow2(bytes)) {
+            throw cell_error(spec,
+                             "attack buffer_bytes must be a nonzero "
+                             "power of two — the pagemap scan walks the "
+                             "buffer in pow2 strides")
+                .with("tenant", t.name)
+                .with("buffer_bytes", bytes);
+        }
+        if (bytes < mem::kHugeBytes) {
+            throw cell_error(spec,
+                             "attack buffer_bytes is below one huge page "
+                             "— the attacker maps 2 MB THP frames, so "
+                             "smaller buffers cannot be placed")
+                .with("tenant", t.name)
+                .with("buffer_bytes", bytes)
+                .with("huge_page_bytes", mem::kHugeBytes);
+        }
+        buffer_total += bytes;
     }
     // The huge-page pool is the upper half of physical memory; an
     // attacker set that outgrows it would fail mid-mmap with an obscure
@@ -218,8 +215,9 @@ validate(const ScenarioSpec &spec)
     if (needs_attack(spec.run.mode) && !has_attack) {
         throw cell_error(spec,
                          "this run mode drives a hammer kernel but the "
-                         "scenario declares no attacks — add an AttackSpec "
-                         "or switch to an interleave/workload run mode");
+                         "scenario declares no attacks — add an attacker "
+                         "tenant or switch to an interleave/workload run "
+                         "mode");
     }
     if (spec.run.mode == RunMode::kPatternMeasure &&
         spec.run.iterations == 0) {
@@ -253,18 +251,6 @@ validate(const ScenarioSpec &spec)
         throw error;
     }
 
-    for (const TenantSpec &t : tenants) {
-        if (!t.workload)
-            continue;
-        try {
-            (void)workload::spec_profile(t.workload->profile);
-        } catch (const std::out_of_range &) {
-            throw cell_error(spec, "unknown workload profile")
-                .with("profile", t.workload->profile)
-                .with("known", known_profiles());
-        }
-    }
-
     for (const Output output : spec.outputs) {
         if (needs_detector(output) && !spec.detector) {
             throw cell_error(spec,
@@ -272,7 +258,7 @@ validate(const ScenarioSpec &spec)
                              "scenario runs unprotected — configure "
                              "`detector` or drop the output");
         }
-        if (needs_testbed(output) && !has_attack) {
+        if (needs_attacker(output) && !has_attack) {
             throw cell_error(spec,
                              "an output reads attack results but the "
                              "scenario declares no attacks");

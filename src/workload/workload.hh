@@ -81,42 +81,6 @@ class Workload
     std::uint64_t ops_ = 0;
 };
 
-/**
- * Round-robin multi-program driver: interleaves several steppables on the
- * shared memory system, modelling concurrent load (the paper's "heavy
- * load" runs mcf + libquantum + omnetpp alongside the attack).
- */
-class Runner
-{
-  public:
-    explicit Runner(mem::MemorySystem &mem) : mem_(mem) {}
-
-    /** Adds a driver; fn() must issue at least one operation. */
-    void add(std::function<void()> step_fn)
-    {
-        drivers_.push_back(std::move(step_fn));
-    }
-
-    /** Interleaves drivers until the clock reaches @p deadline. */
-    void
-    run_until(Tick deadline)
-    {
-        while (mem_.now() < deadline) {
-            for (auto &driver : drivers_) {
-                driver();
-                if (mem_.now() >= deadline)
-                    break;
-            }
-        }
-    }
-
-    void run_for(Tick dt) { run_until(mem_.now() + dt); }
-
-  private:
-    mem::MemorySystem &mem_;
-    std::vector<std::function<void()>> drivers_;
-};
-
 }  // namespace anvil::workload
 
 #endif  // ANVIL_WORKLOAD_WORKLOAD_HH

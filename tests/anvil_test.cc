@@ -13,6 +13,7 @@
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
+#include "scenario/spec.hh"
 #include "workload/workload.hh"
 
 namespace anvil::detector {
@@ -54,11 +55,11 @@ class AnvilTest : public ::testing::Test
         machine_ = std::make_unique<mem::MemorySystem>(mem::SystemConfig{});
         pmu_ = std::make_unique<pmu::Pmu>(*machine_);
         attacker_ = &machine_->create_process();
-        buffer_ = attacker_->mmap(kBufferBytes);
+        buffer_ = attacker_->mmap(scenario::kDefaultAttackBufferBytes);
         layout_ = std::make_unique<attack::MemoryLayout>(
             *attacker_, machine_->dram().address_map(),
             machine_->hierarchy());
-        layout_->scan(buffer_, kBufferBytes);
+        layout_->scan(buffer_, scenario::kDefaultAttackBufferBytes);
     }
 
     attack::DoubleSidedTarget
@@ -69,7 +70,6 @@ class AnvilTest : public ::testing::Test
         return targets.front();
     }
 
-    static constexpr std::uint64_t kBufferBytes = 64ULL << 20;
     std::unique_ptr<mem::MemorySystem> machine_;
     std::unique_ptr<pmu::Pmu> pmu_;
     mem::AddressSpace *attacker_ = nullptr;
@@ -346,10 +346,10 @@ TEST_F(AnvilTest, HeavyConfigDetectsFasterAttacks)
     mem::MemorySystem machine(config);
     pmu::Pmu pmu(machine);
     mem::AddressSpace &attacker = machine.create_process();
-    const Addr buffer = attacker.mmap(kBufferBytes);
+    const Addr buffer = attacker.mmap(scenario::kDefaultAttackBufferBytes);
     attack::MemoryLayout layout(attacker, machine.dram().address_map(),
                                 machine.hierarchy());
-    layout.scan(buffer, kBufferBytes);
+    layout.scan(buffer, scenario::kDefaultAttackBufferBytes);
 
     Anvil anvil(machine, pmu, AnvilConfig::heavy());
     anvil.start();
@@ -372,10 +372,10 @@ TEST_F(AnvilTest, LightConfigDetectsSpreadOutAttacks)
     mem::MemorySystem machine(config);
     pmu::Pmu pmu(machine);
     mem::AddressSpace &attacker = machine.create_process();
-    const Addr buffer = attacker.mmap(kBufferBytes);
+    const Addr buffer = attacker.mmap(scenario::kDefaultAttackBufferBytes);
     attack::MemoryLayout layout(attacker, machine.dram().address_map(),
                                 machine.hierarchy());
-    layout.scan(buffer, kBufferBytes);
+    layout.scan(buffer, scenario::kDefaultAttackBufferBytes);
 
     Anvil anvil(machine, pmu, AnvilConfig::light());
     anvil.start();

@@ -17,6 +17,7 @@
 #include "attack/memory_layout.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
+#include "scenario/spec.hh"
 
 namespace anvil::attack {
 namespace {
@@ -25,7 +26,6 @@ namespace {
 class AttackTest : public ::testing::Test
 {
   protected:
-    static constexpr std::uint64_t kBufferBytes = 64ULL << 20;
 
     explicit AttackTest(Tick refresh_period = ms(64))
         : AttackTest(config_with_refresh(refresh_period))
@@ -36,11 +36,11 @@ class AttackTest : public ::testing::Test
     {
         machine_ = std::make_unique<mem::MemorySystem>(config);
         attacker_ = &machine_->create_process();
-        buffer_ = attacker_->mmap(kBufferBytes);
+        buffer_ = attacker_->mmap(scenario::kDefaultAttackBufferBytes);
         layout_ = std::make_unique<MemoryLayout>(
             *attacker_, machine_->dram().address_map(),
             machine_->hierarchy());
-        layout_->scan(buffer_, kBufferBytes);
+        layout_->scan(buffer_, scenario::kDefaultAttackBufferBytes);
     }
 
     /**
@@ -98,7 +98,8 @@ class AttackTest : public ::testing::Test
 
 TEST_F(AttackTest, ScanIndexesAllPages)
 {
-    EXPECT_EQ(layout_->pages_scanned(), kBufferBytes / mem::kPageBytes);
+    EXPECT_EQ(layout_->pages_scanned(),
+              scenario::kDefaultAttackBufferBytes / mem::kPageBytes);
 }
 
 TEST_F(AttackTest, DoubleSidedTargetsSandwichRealVictims)

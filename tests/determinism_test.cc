@@ -22,6 +22,7 @@
 #include "mitigations/counter_trr.hh"
 #include "mitigations/registry.hh"
 #include "pmu/pmu.hh"
+#include "scenario/scheduler.hh"
 #include "workload/workload.hh"
 
 namespace anvil {
@@ -70,10 +71,10 @@ run_scenario(std::uint64_t seed)
     machine.advance(ms(1));
     attack::ClflushDoubleSided hammer(machine, attacker.pid(),
                                       targets.front());
-    workload::Runner runner(machine);
-    runner.add([&] { hammer.step(); });
-    runner.add([&] { background.step(); });
-    runner.run_for(ms(32));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "attacker", .step = [&] { hammer.step(); }});
+    sched.add({.name = "mcf", .step = [&] { background.step(); }});
+    sched.run_until(machine.now() + ms(32));
 
     RunRecord record;
     record.detections = anvil.detections();

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests of the multi-tenant process model: tenant normalization, the
- * round-robin TenantScheduler (quantum slicing, start delays), bit-exact
- * determinism of multi-tenant trials, per-tenant seed isolation, and the
- * daemon's cross-tenant detection attribution.
+ * Tests of the multi-tenant process model: tenant naming, the
+ * round-robin TenantScheduler (interleaving, deadlines, quantum slicing,
+ * start delays), bit-exact determinism of multi-tenant trials,
+ * per-tenant seed isolation, and the daemon's cross-tenant detection
+ * attribution.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "anvil/anvil.hh"
@@ -23,6 +25,7 @@
 #include "scenario/spec.hh"
 #include "scenario/testbed.hh"
 #include "scenario/validate.hh"
+#include "workload/workload.hh"
 
 using namespace anvil;
 
@@ -43,7 +46,7 @@ workload_tenant(const std::string &profile, const std::string &stream,
                 std::uint64_t quantum = 1)
 {
     scenario::TenantSpec t;
-    t.workload = scenario::WorkloadSpec{profile, stream, false};
+    t.payload = scenario::WorkloadSpec{profile, stream, false};
     t.quantum_accesses = quantum;
     return t;
 }
@@ -53,23 +56,21 @@ attacker_tenant(scenario::AttackKind kind =
                     scenario::AttackKind::kClflushDoubleSided)
 {
     scenario::TenantSpec t;
-    t.attack = scenario::AttackSpec{kind};
+    t.payload = scenario::AttackSpec{kind};
     return t;
 }
 
-TEST(NormalizedTenants, OrdersAttacksThenWorkloadsThenExplicit)
+TEST(NormalizedTenants, DerivesNamesAndNumbersDuplicates)
 {
-    scenario::ScenarioSpec spec;
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
-    spec.workloads = {{"mcf", "", false}, {"mcf", "", false}};
     scenario::TenantSpec named = workload_tenant("gcc", "w:gcc");
     named.name = "hog";
-    spec.tenants.push_back(named);
-
-    const auto tenants = scenario::normalized_tenants(spec);
+    const auto tenants = scenario::normalized_tenants(
+        {attacker_tenant(), workload_tenant("mcf", ""),
+         workload_tenant("mcf", ""), named});
     ASSERT_EQ(tenants.size(), 4u);
     EXPECT_EQ(tenants[0].name, "attacker");
-    EXPECT_TRUE(tenants[0].attack.has_value());
+    EXPECT_TRUE(
+        std::holds_alternative<scenario::AttackSpec>(tenants[0].payload));
     EXPECT_EQ(tenants[1].name, "mcf");
     EXPECT_EQ(tenants[2].name, "mcf#2");  // deduped, declaration order
     EXPECT_EQ(tenants[3].name, "hog");
@@ -167,6 +168,36 @@ TEST(TenantScheduler, StartDelayHoldsATenantOut)
     EXPECT_GT(sched.stats()[0].steps, 0u);
 }
 
+TEST(TenantScheduler, InterleavesWorkloadsOnOneClock)
+{
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    workload::Workload a(machine, workload::spec_profile("sjeng"));
+    workload::Workload b(machine, workload::spec_profile("hmmer"));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "a", .step = [&] { a.step(); }});
+    sched.add({.name = "b", .step = [&] { b.step(); }});
+    sched.run_until(machine.now() + ms(2));
+    EXPECT_GT(a.ops(), 0u);
+    EXPECT_GT(b.ops(), 0u);
+    // Round-robin: neither tenant starves.
+    const double ratio = static_cast<double>(a.ops()) /
+                         static_cast<double>(b.ops());
+    EXPECT_GT(ratio, 0.5);
+    EXPECT_LT(ratio, 2.0);
+}
+
+TEST(TenantScheduler, RunUntilStopsAtDeadline)
+{
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    workload::Workload a(machine, workload::spec_profile("sjeng"));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "a", .step = [&] { a.step(); }});
+    sched.run_until(ms(3));
+    EXPECT_GE(machine.now(), ms(3));
+    // Overshoot bounded by one step.
+    EXPECT_LT(machine.now(), ms(3) + us(10));
+}
+
 TEST(TenantScheduler, EmptyScheduleAdvancesToDeadline)
 {
     mem::MemorySystem machine{mem::SystemConfig{}};
@@ -209,7 +240,8 @@ TEST(MultiTenantScenario, BackToBackRunsAreBitIdentical)
     std::vector<std::uint64_t> ops[2];
     Tick end[2] = {0, 0};
     for (int rep = 0; rep < 2; ++rep) {
-        scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+        const runner::TrialContext ctx = context_for(spec, 0);
+        scenario::ScenarioBuilder builder(spec, ctx);
         scenario::Execution &exec = builder.build();
         builder.run();
         for (const auto &d : exec.anvil()->detections())
@@ -286,7 +318,8 @@ TEST(MultiTenantScenario, TenantSeedStreamsAreIsolated)
 TEST(CrossTenantAttribution, DetectionsBlameTheAttackerTenant)
 {
     const scenario::ScenarioSpec spec = colocation_spec();
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 1));
+    const runner::TrialContext ctx = context_for(spec, 1);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
     builder.run();
 
@@ -329,23 +362,6 @@ TEST(CrossTenantAttribution, HammeringProcessIsBlamedNotItsNeighbor)
     }
 }
 
-TEST(TenantValidation, RejectsPayloadlessAndDoublePayloadTenants)
-{
-    scenario::ScenarioSpec spec;
-    spec.name = "bad";
-    spec.run.mode = scenario::RunMode::kInterleaveFor;
-    spec.run.duration = ms(1);
-
-    scenario::TenantSpec empty;
-    spec.tenants = {empty};
-    EXPECT_THROW(scenario::validate(spec), Error);
-
-    scenario::TenantSpec both = attacker_tenant();
-    both.workload = scenario::WorkloadSpec{"mcf", "", false};
-    spec.tenants = {both};
-    EXPECT_THROW(scenario::validate(spec), Error);
-}
-
 TEST(TenantValidation, RejectsZeroQuantum)
 {
     scenario::ScenarioSpec spec;
@@ -366,17 +382,19 @@ TEST(TenantValidation, RejectsBadAttackBuffers)
     spec.run.duration = ms(1);
 
     scenario::TenantSpec t = attacker_tenant();
-    t.attack->buffer_bytes = (64ULL << 20) + 4096;  // not a power of two
+    std::uint64_t &bytes =
+        std::get<scenario::AttackSpec>(t.payload).buffer_bytes;
+    bytes = (64ULL << 20) + 4096;  // not a power of two
     spec.tenants = {t};
     EXPECT_THROW(scenario::validate(spec), Error);
 
-    t.attack->buffer_bytes = 1 << 20;  // below one 2 MB huge page
+    bytes = 1 << 20;  // below one 2 MB huge page
     spec.tenants = {t};
     EXPECT_THROW(scenario::validate(spec), Error);
 
     // Individually fine, but together past the huge-page pool (half of
     // physical capacity).
-    t.attack->buffer_bytes = spec.system.dram.capacity_bytes() / 2;
+    bytes = spec.system.dram.capacity_bytes() / 2;
     spec.tenants = {t, t};
     EXPECT_THROW(scenario::validate(spec), Error);
 
@@ -412,18 +430,19 @@ TEST(TenantValidation, UnknownMitigationSuggestsTheNearestTracker)
     }
 }
 
-TEST(TenantValidation, BufferBytesFlowsThroughLegacyAttackList)
+TEST(TenantValidation, BufferBytesReachesTheAttackerProcess)
 {
-    // The satellite knob also applies to the legacy spec.attacks path.
     scenario::ScenarioSpec spec;
-    spec.name = "legacy-buffer";
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
-    spec.attacks[0].buffer_bytes = 32ULL << 20;
+    spec.name = "small-buffer";
+    spec.tenants = {attacker_tenant()};
+    std::get<scenario::AttackSpec>(spec.tenants[0].payload).buffer_bytes =
+        32ULL << 20;
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(1);
     EXPECT_NO_THROW(scenario::validate(spec));
 
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
     ASSERT_EQ(exec.intruders().size(), 1u);
     EXPECT_EQ(exec.intruders()[0]->buffer_bytes, 32ULL << 20);

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
@@ -400,6 +401,51 @@ TEST(CliOptions, DefaultsLeaveBenchDefaultsAlone)
     EXPECT_EQ(opts.trials_or(6), 6u);
     EXPECT_FALSE(opts.sweep.replay_trial.has_value());
     EXPECT_TRUE(opts.sweep.json_out.empty());
+}
+
+/** Parses @p args after a program name; a bad flag exits the process. */
+void
+parse_flags(std::vector<const char *> args)
+{
+    args.insert(args.begin(), "bench");
+    (void)runner::CliOptions::parse(static_cast<int>(args.size()),
+                                    const_cast<char **>(args.data()));
+}
+
+TEST(CliOptions, RejectsSignedOverflowingAndTruncatedFlagValues)
+{
+    using ::testing::ExitedWithCode;
+    // strtoull would wrap "-1" to 2^64-1 (4294967295 worker threads).
+    EXPECT_EXIT(parse_flags({"--jobs", "-1"}), ExitedWithCode(2),
+                "bad value for --jobs");
+    EXPECT_EXIT(parse_flags({"--retries=-2"}), ExitedWithCode(2),
+                "bad value for --retries");
+    EXPECT_EXIT(parse_flags({"--trials", " 3"}), ExitedWithCode(2),
+                "bad value for --trials");
+    // Past 2^64: strtoull saturates and sets ERANGE.
+    EXPECT_EXIT(parse_flags({"--master-seed", "18446744073709551616"}),
+                ExitedWithCode(2), "bad value for --master-seed");
+    // Past 2^32 on a 32-bit knob: 4294967297 would truncate to 1 shard.
+    EXPECT_EXIT(parse_flags({"--shard-index", "0", "--shard-count",
+                             "4294967297", "--json-out", "x.json"}),
+                ExitedWithCode(2), "bad value for --shard-count");
+    EXPECT_EXIT(parse_flags({"--shards", "4294967296"}), ExitedWithCode(2),
+                "bad value for --shards");
+}
+
+TEST(CliOptions, RejectsNonNumericPositionals)
+{
+    for (const char *text : {"abc", "", "0.2s", "-1", "nan", "inf", "1e999"}) {
+        runner::CliOptions opts;
+        opts.positional = {text};
+        EXPECT_THROW((void)opts.positional_double(0, 3.0), Error)
+            << "'" << text << "'";
+    }
+    runner::CliOptions opts;
+    opts.positional = {"0.2", "20000", "1e3"};
+    EXPECT_DOUBLE_EQ(opts.positional_double(0, 3.0), 0.2);
+    EXPECT_DOUBLE_EQ(opts.positional_double(1, 3.0), 20000.0);
+    EXPECT_DOUBLE_EQ(opts.positional_double(2, 3.0), 1000.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ detection_spec()
     spec.name = "test-detection";
     spec.detector = detector::AnvilConfig::baseline();
     spec.pre_attack = {ms(1), 0, ""};
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
+    spec.tenants = {
+        {scenario::AttackSpec{scenario::AttackKind::kClflushDoubleSided}}};
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(24);
     spec.outputs = {scenario::Output::kDetections, scenario::Output::kFlips};
@@ -103,7 +104,8 @@ TEST(ScenarioBuilder, SameSpecAndSeedIsDeterministic)
     detector::AnvilStats stats[2];
     std::vector<Tick> detection_times[2];
     for (int rep = 0; rep < 2; ++rep) {
-        scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+        const runner::TrialContext ctx = context_for(spec, 0);
+        scenario::ScenarioBuilder builder(spec, ctx);
         scenario::Execution &exec = builder.build();
         builder.run();
         ASSERT_NE(exec.anvil(), nullptr);
@@ -133,7 +135,8 @@ TEST(ScenarioBuilder, SameSpecAndSeedIsDeterministic)
 TEST(ScenarioBuilder, DetectionOutsideAttackWindowIsFalsePositive)
 {
     const scenario::ScenarioSpec spec = detection_spec();
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
 
     ASSERT_NE(exec.anvil(), nullptr);
@@ -335,7 +338,7 @@ TEST(Validate, RejectsZeroRowDram)
 TEST(Validate, RejectsHammerModeWithoutAttack)
 {
     scenario::ScenarioSpec spec = detection_spec();
-    spec.attacks.clear();
+    spec.tenants.clear();
     spec.run.mode = scenario::RunMode::kHammerToFirstFlip;
     spec.outputs.clear();
     expect_invalid(spec, "no attacks");
@@ -344,7 +347,8 @@ TEST(Validate, RejectsHammerModeWithoutAttack)
 TEST(Validate, RejectsUnknownWorkloadProfileWithKnownNames)
 {
     scenario::ScenarioSpec spec = detection_spec();
-    spec.workloads.push_back({"mfc", "", false});  // typo of "mcf"
+    spec.tenants.push_back(
+        {scenario::WorkloadSpec{"mfc", "", false}});  // typo of "mcf"
     try {
         scenario::validate(spec);
         FAIL() << "unknown profile accepted";
@@ -384,7 +388,7 @@ TEST(Validate, RejectsInterleaveUntilOpsWithZeroQuota)
     scenario::ScenarioSpec spec = detection_spec();
     spec.run.mode = scenario::RunMode::kInterleaveUntilOps;
     spec.run.ops = 0;
-    spec.workloads.push_back({"mcf", "", false});
+    spec.tenants.push_back({scenario::WorkloadSpec{"mcf", "", false}});
     expect_invalid(spec, "run.ops");
 }
 
@@ -423,7 +427,8 @@ TEST(Validate, BuilderRefusesToBuildAnInvalidSpec)
 {
     scenario::ScenarioSpec spec = detection_spec();
     spec.system.cache.l1_sets = 63;
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     EXPECT_THROW(builder.build(), Error);
 }
 

@@ -169,35 +169,5 @@ TEST(Workload, BenignWorkloadsNeverFlipBits)
     }
 }
 
-TEST(Runner, InterleavesDriversOnOneClock)
-{
-    mem::MemorySystem machine(machine_config());
-    Workload a(machine, spec_profile("sjeng"));
-    Workload b(machine, spec_profile("hmmer"));
-    Runner runner(machine);
-    runner.add([&] { a.step(); });
-    runner.add([&] { b.step(); });
-    runner.run_for(ms(2));
-    EXPECT_GT(a.ops(), 0u);
-    EXPECT_GT(b.ops(), 0u);
-    // Round-robin: neither driver starves.
-    const double ratio = static_cast<double>(a.ops()) /
-                         static_cast<double>(b.ops());
-    EXPECT_GT(ratio, 0.5);
-    EXPECT_LT(ratio, 2.0);
-}
-
-TEST(Runner, RunUntilStopsAtDeadline)
-{
-    mem::MemorySystem machine(machine_config());
-    Workload a(machine, spec_profile("sjeng"));
-    Runner runner(machine);
-    runner.add([&] { a.step(); });
-    runner.run_until(ms(3));
-    EXPECT_GE(machine.now(), ms(3));
-    // Overshoot bounded by one step.
-    EXPECT_LT(machine.now(), ms(3) + us(10));
-}
-
 }  // namespace
 }  // namespace anvil::workload

@@ -23,7 +23,8 @@
  *
  * Exit codes (runner::ExitCode): 0 = complete and all trials ok;
  * 1 = report not writable; 2 = usage error; 3 = interrupted
- * (SIGINT/SIGTERM drained the run — rerun the same command to resume);
+ * (SIGINT/SIGTERM drained the run, journal kept — rerun with --resume
+ * to continue; `supervise` resumes when rerun unchanged);
  * 4 = complete but at least one trial failed (see the JSON "failures"
  * records); 5 = supervise: trials outstanding after every shard slot
  * exhausted its respawn budget (journals kept — rerun to continue);
@@ -100,6 +101,27 @@ render_tables(const scenario::SweepSpec &spec,
 {
     if (spec.render)
         spec.render(sink, options.json_out == "-" ? std::cerr : std::cout);
+}
+
+/**
+ * Commits a complete merged campaign: finalize, print the tables, write
+ * the report, then drop the shard journals whose work it now holds.
+ * @return the verb's exit code.
+ */
+int
+commit_merged_report(const scenario::SweepSpec &spec,
+                     runner::MergeResult &merge,
+                     const runner::SweepOptions &options,
+                     std::uint32_t shard_count)
+{
+    if (spec.finalize)
+        spec.finalize(merge.sink);
+    render_tables(spec, merge.sink, options);
+    if (!runner::write_json_output(merge.sink, options))
+        return runner::kExitJsonError;
+    runner::remove_shard_journals(options.json_out, shard_count);
+    return merge.failed != 0 ? runner::kExitTrialFailure
+                             : runner::kExitOk;
 }
 
 /** Prints merge diagnostics; returns the verb's exit code. */
@@ -221,15 +243,7 @@ run_supervise(const scenario::SweepFactory &factory,
                              mo);
     if (!merge.complete())
         return report_merge_problems(merge);
-    if (spec.finalize)
-        spec.finalize(merge.sink);
-    render_tables(spec, merge.sink, cli.sweep);
-    if (!runner::write_json_output(merge.sink, cli.sweep))
-        return runner::kExitJsonError;
-    // The report is durable; the shard journals' work is committed.
-    runner::remove_shard_journals(cli.sweep.json_out, sup.shards);
-    return merge.failed != 0 ? runner::kExitTrialFailure
-                             : runner::kExitOk;
+    return commit_merged_report(spec, merge, cli.sweep, sup.shards);
 }
 
 /**
@@ -264,14 +278,7 @@ run_merge(const scenario::SweepSpec &spec, runner::CliOptions &cli)
                      static_cast<unsigned long long>(merge.failed));
         return runner::kExitOk;
     }
-    if (spec.finalize)
-        spec.finalize(merge.sink);
-    render_tables(spec, merge.sink, cli.sweep);
-    if (!runner::write_json_output(merge.sink, cli.sweep))
-        return runner::kExitJsonError;
-    runner::remove_shard_journals(cli.sweep.json_out, mo.shard_count);
-    return merge.failed != 0 ? runner::kExitTrialFailure
-                             : runner::kExitOk;
+    return commit_merged_report(spec, merge, cli.sweep, mo.shard_count);
 }
 
 }  // namespace
