@@ -20,6 +20,11 @@ namespace anvil::cache {
 inline constexpr std::uint32_t kLineBytes = 64;
 inline constexpr std::uint32_t kLineShift = 6;
 
+/// Physical memory the 32-bit line-index tags can address (256 GiB);
+/// scenario validation rejects larger DRAM geometries.
+inline constexpr std::uint64_t kTagAddressableBytes = std::uint64_t{1}
+                                                      << (32 + kLineShift);
+
 /** Truncates an address to its cache-line base address. */
 constexpr Addr
 line_of(Addr pa)
@@ -49,6 +54,7 @@ struct CacheStats {
  * Lookup and fill are split so a hierarchy can implement inclusive /
  * exclusive policies: access() probes (and updates replacement state on a
  * hit); fill() installs a line, returning any line evicted to make room.
+ * Physical addresses must lie below kTagAddressableBytes.
  */
 class Cache
 {
@@ -104,17 +110,19 @@ class Cache
     }
 
   private:
-    /** Finds the way holding @p line in @p set, or nullopt. */
-    std::optional<std::uint32_t> find(std::uint32_t set, Addr line) const;
+    /** Finds the way holding @p tag in @p set, or nullopt. */
+    std::optional<std::uint32_t> find(std::uint32_t set,
+                                      std::uint32_t tag) const;
 
     std::string name_;
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::uint64_t full_mask_;  ///< all @c ways_ low bits set
-    /// Packed tag store, [set * ways_ + way]; an entry is meaningful only
-    /// while its bit in valid_bits_ is set. Tags-only layout keeps a whole
-    /// set's tags in one or two cache lines for the probe scan.
-    std::vector<Addr> tags_;
+    /// Packed tag store, [set * ways_ + way], each tag the 32-bit line
+    /// index pa >> kLineShift; an entry is meaningful only while its bit
+    /// in valid_bits_ is set. Tags-only layout keeps a whole 12-way set's
+    /// tags in one host cache line for the probe scan.
+    std::vector<std::uint32_t> tags_;
     /// Per-set bitmask of valid ways: probes iterate its set bits,
     /// fill() finds the first free way with one bit operation.
     std::vector<std::uint64_t> valid_bits_;

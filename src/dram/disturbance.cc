@@ -45,7 +45,8 @@ DisturbanceModel::DisturbanceModel(const DramConfig &config,
     : config_(config),
       flat_bank_(flat_bank),
       schedule_(schedule),
-      flip_log_(flip_log)
+      flip_log_(flip_log),
+      slot_of_(config.rows_per_bank, 0)
 {
 }
 
@@ -75,11 +76,16 @@ DisturbanceModel::sync_window(std::uint32_t row, RowState &state,
         state.refresh_due = schedule_.next_refresh(row, state.window_start);
     if (now < state.refresh_due)
         return;
-    const Tick refreshed = schedule_.last_refresh(row, now);
+    restart_window(state, schedule_.last_refresh(row, now));
+}
+
+void
+DisturbanceModel::restart_window(RowState &state, Tick start)
+{
     const std::uint64_t threshold = state.threshold;
     const std::uint64_t flip_floor = state.flip_floor;
     state = RowState();
-    state.window_start = refreshed;
+    state.window_start = start;
     state.threshold = threshold;
     state.flip_floor = flip_floor;
 }
@@ -97,13 +103,19 @@ DisturbanceModel::disturbance(const RowState &state) const
 DisturbanceModel::RowState &
 DisturbanceModel::row_state(std::uint32_t row)
 {
-    Memo &m = memo_[row & (kMemoSize - 1)];
-    if (m.state != nullptr && m.row == row)
-        return *m.state;
-    RowState &state = rows_[row];
-    m.row = row;
-    m.state = &state;
-    return state;
+    std::uint32_t &slot = slot_of_[row];
+    if (slot == 0) {
+        states_.emplace_back();
+        slot = static_cast<std::uint32_t>(states_.size());
+    }
+    return states_[slot - 1];
+}
+
+const DisturbanceModel::RowState *
+DisturbanceModel::find_state(std::uint32_t row) const
+{
+    const std::uint32_t slot = slot_of_[row];
+    return slot == 0 ? nullptr : &states_[slot - 1];
 }
 
 void
@@ -148,15 +160,9 @@ DisturbanceModel::disturb(std::uint32_t victim, std::uint32_t aggressor,
 void
 DisturbanceModel::on_activate(std::uint32_t row, Tick now)
 {
-    // An activation restores the accessed row's own charge. The cached
-    // threshold survives (it is a property of the row, not the window);
-    // refresh_due is left 0 for lazy recomputation if the row is ever
-    // disturbed.
-    RowState &self = row_state(row);
-    const std::uint64_t threshold = self.threshold;
-    self = RowState();
-    self.window_start = now;
-    self.threshold = threshold;
+    // An activation restores the accessed row's own charge. Its state
+    // reference dies here: the disturb() calls below may grow states_.
+    restart_window(row_state(row), now);
 
     const auto last_row = config_.rows_per_bank - 1;
     if (row > 0)
@@ -166,7 +172,7 @@ DisturbanceModel::on_activate(std::uint32_t row, Tick now)
     if (config_.second_neighbor_weight > 0.0) {
         if (row > 1)
             disturb(row - 2, row, now);
-        if (row < last_row - 1)
+        if (last_row - row > 1)
             disturb(row + 2, row, now);
     }
 }
@@ -174,10 +180,10 @@ DisturbanceModel::on_activate(std::uint32_t row, Tick now)
 double
 DisturbanceModel::disturbance_of(std::uint32_t row, Tick now) const
 {
-    auto it = rows_.find(row);
-    if (it == rows_.end())
+    const RowState *found = find_state(row);
+    if (found == nullptr)
         return 0.0;
-    RowState state = it->second;  // copy; sync without mutating
+    RowState state = *found;  // copy; sync without mutating
     sync_window(row, state, now);
     return disturbance(state);
 }
@@ -185,10 +191,10 @@ DisturbanceModel::disturbance_of(std::uint32_t row, Tick now) const
 std::pair<std::uint64_t, std::uint64_t>
 DisturbanceModel::neighbor_activations(std::uint32_t row, Tick now) const
 {
-    auto it = rows_.find(row);
-    if (it == rows_.end())
+    const RowState *found = find_state(row);
+    if (found == nullptr)
         return {0, 0};
-    RowState state = it->second;
+    RowState state = *found;
     sync_window(row, state, now);
     return {state.left, state.right};
 }

@@ -24,9 +24,8 @@
 #ifndef ANVIL_DRAM_DISTURBANCE_HH
 #define ANVIL_DRAM_DISTURBANCE_HH
 
-#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dram/config.hh"
@@ -72,9 +71,11 @@ class RefreshSchedule
 /**
  * Tracks disturbance accumulation and detects bit flips for one bank.
  *
- * State is kept sparsely (only rows that have been disturbed since their
- * last refresh), and refresh is applied lazily from the RefreshSchedule so
- * no per-row events are needed.
+ * Per-row state exists only for rows touched (activated or disturbed)
+ * this trial: a dense per-row slot index maps each row to its entry in an
+ * append-only state array, so a lookup is two loads and untouched rows
+ * cost four bytes each. Refresh is applied lazily from the
+ * RefreshSchedule, so no per-row events are needed.
  */
 class DisturbanceModel
 {
@@ -123,31 +124,34 @@ class DisturbanceModel
     /** Applies lazy refresh to @p state if the sweep passed since start. */
     void sync_window(std::uint32_t row, RowState &state, Tick now) const;
 
+    /**
+     * Opens a new window at @p start: clears the counts, keeps the
+     * row's cached threshold and flip_floor (row properties, not window
+     * properties); refresh_due is recomputed lazily.
+     */
+    static void restart_window(RowState &state, Tick start);
+
     double disturbance(const RowState &state) const;
 
     void disturb(std::uint32_t victim, std::uint32_t aggressor, Tick now);
 
     /**
-     * rows_[row] through a small direct-mapped memo of recent lookups.
-     * Hammering touches the same few rows millions of times; the memo
-     * turns the hash-map probe into an array load in the common case.
-     * Entries point at unordered_map nodes, which stay put (node-based
-     * container, never erased from).
+     * The state of @p row, created on first touch. The reference is valid
+     * only until the next first touch of another row (which may grow
+     * states_), so callers must not hold it across a row_state() call.
      */
     RowState &row_state(std::uint32_t row);
 
-    struct Memo {
-        std::uint32_t row = 0;
-        RowState *state = nullptr;
-    };
-    static constexpr std::uint32_t kMemoSize = 8;
+    /** The state of @p row, or nullptr if it was never touched. */
+    const RowState *find_state(std::uint32_t row) const;
 
     const DramConfig &config_;
     std::uint32_t flat_bank_;
     const RefreshSchedule &schedule_;
     std::vector<FlipEvent> &flip_log_;
-    std::array<Memo, kMemoSize> memo_;
-    mutable std::unordered_map<std::uint32_t, RowState> rows_;
+    /// Per row: 1 + its index in states_, or 0 while untouched.
+    std::vector<std::uint32_t> slot_of_;
+    std::vector<RowState> states_;  ///< touched rows, in first-touch order
 };
 
 }  // namespace anvil::dram

@@ -123,25 +123,33 @@ AddressSpace::AddressSpace(Pid pid, FrameAllocator &frames)
 }
 
 Addr
+AddressSpace::reserve_va(std::uint64_t bytes)
+{
+    const Addr base = next_va_;
+    next_va_ += bytes + kPageBytes;  // unmapped guard gap between regions
+    pages_.resize((next_va_ - kVaBase) >> kPageShift, kInvalidAddr);
+    return base;
+}
+
+Addr
 AddressSpace::mmap(std::uint64_t bytes)
 {
     const bool huge = bytes >= kHugeBytes;
     const std::uint64_t granule = huge ? kHugeBytes : kPageBytes;
     const std::uint64_t chunks = (bytes + granule - 1) / granule;
-    const Addr base = next_va_;
-    next_va_ += chunks * granule;
-    next_va_ += kPageBytes;  // unmapped guard gap between regions
+    const Addr base = reserve_va(chunks * granule);
 
     for (std::uint64_t c = 0; c < chunks; ++c) {
         if (huge) {
             const Addr block = frames_.allocate_huge();
             for (std::uint64_t p = 0; p < kHugeBytes / kPageBytes; ++p) {
-                pages_[base + c * kHugeBytes + p * kPageBytes] =
+                pte(base + c * kHugeBytes + p * kPageBytes) =
                     block + p * kPageBytes;
             }
         } else {
-            pages_[base + c * kPageBytes] = frames_.allocate();
+            pte(base + c * kPageBytes) = frames_.allocate();
         }
+        mapped_pages_ += granule / kPageBytes;
     }
     regions_.push_back(MappedRegion{base, chunks * granule, huge});
     tlb_flush();
@@ -153,13 +161,13 @@ AddressSpace::mmap_shared(const AddressSpace &source, Addr src_va,
                           std::uint64_t bytes)
 {
     const std::uint64_t pages = (bytes + kPageBytes - 1) / kPageBytes;
-    const Addr base = next_va_;
-    next_va_ += pages * kPageBytes + kPageBytes;
+    const Addr base = reserve_va(pages * kPageBytes);
     for (std::uint64_t p = 0; p < pages; ++p) {
         const Addr frame = source.pagemap(src_va + p * kPageBytes);
         assert(frame != kInvalidAddr && "sharing an unmapped page");
-        pages_[base + p * kPageBytes] = frame;
+        pte(base + p * kPageBytes) = frame;
     }
+    mapped_pages_ += pages;
     regions_.push_back(
         MappedRegion{base, pages * kPageBytes, false, true});
     tlb_flush();
@@ -178,32 +186,18 @@ AddressSpace::munmap(Addr va_base, std::uint64_t bytes)
     (void)bytes;  // whole-region unmap, like the attack code's usage
 
     tlb_flush();
-    if (region->shared) {
-        // The frames belong to the source mapping; just drop the view.
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kPageBytes) {
-            pages_.erase(va_base + off);
-        }
-        regions_.erase(region);
-        return;
-    }
+    // A shared view's frames belong to the source mapping; only the
+    // view's page-table entries go.
     if (region->huge) {
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kHugeBytes) {
-            frames_.free_huge(pages_.at(va_base + off));
-            for (std::uint64_t p = 0; p < kHugeBytes / kPageBytes; ++p)
-                pages_.erase(va_base + off + p * kPageBytes);
-        }
-    } else {
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kPageBytes) {
-            auto it = pages_.find(va_base + off);
-            if (it != pages_.end()) {
-                frames_.free(it->second);
-                pages_.erase(it);
-            }
-        }
+        for (std::uint64_t off = 0; off < region->bytes; off += kHugeBytes)
+            frames_.free_huge(pte(va_base + off));
+    } else if (!region->shared) {
+        for (std::uint64_t off = 0; off < region->bytes; off += kPageBytes)
+            frames_.free(pte(va_base + off));
     }
+    const std::uint64_t pages = region->bytes / kPageBytes;
+    std::fill_n(&pte(va_base), pages, kInvalidAddr);
+    mapped_pages_ -= pages;
     regions_.erase(region);
 }
 
@@ -226,12 +220,17 @@ AddressSpace::translate(Addr va) const
         return entry.pa_page | (va & (kPageBytes - 1));
     }
     ++tlb_misses_;
-    auto it = pages_.find(page);
-    if (it == pages_.end())
+    // Below kVaBase the difference wraps to a huge index, so one bound
+    // check rejects both ends.
+    const Addr index = (page - kVaBase) >> kPageShift;
+    if (index >= pages_.size())
+        return kInvalidAddr;
+    const Addr frame = pages_[index];
+    if (frame == kInvalidAddr)
         return kInvalidAddr;
     entry.va_page = page;
-    entry.pa_page = it->second;
-    return it->second | (va & (kPageBytes - 1));
+    entry.pa_page = frame;
+    return frame | (va & (kPageBytes - 1));
 }
 
 Addr

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -29,6 +28,9 @@ inline constexpr std::uint32_t kPageShift = 12;
 /// DRAM bank (row stride 128 KB), which is what makes both double-sided
 /// attack targeting and benign bank-local conflict sweeps realistic.
 inline constexpr std::uint64_t kHugeBytes = 2ULL << 20;
+
+/// First virtual address mmap hands out; every region lies above it.
+inline constexpr Addr kVaBase = 0x7f0000000000ULL;
 
 /**
  * Physical frame allocator over the module's address range.
@@ -117,6 +119,11 @@ struct MappedRegion {
  * a touch loop); pagemap() exposes VA->PA exactly like /proc/pid/pagemap.
  * Regions of at least 2 MB are transparently backed by huge blocks (THP),
  * smaller ones by scattered 4 KB frames.
+ *
+ * Virtual addresses are bump-allocated upward from kVaBase and never
+ * reused, so the page table is a flat array indexed by virtual page
+ * number from kVaBase: it spans every region mapped so far plus one
+ * guard page each, and unmapped slots hold kInvalidAddr.
  */
 class AddressSpace
 {
@@ -152,7 +159,7 @@ class AddressSpace
      * @return the physical address, or kInvalidAddr if unmapped.
      *
      * Hot path: a small direct-mapped TLB caches page translations in
-     * front of the page-table hash map; it is flushed on every mapping
+     * front of the flat page table; it is flushed on every mapping
      * change (mmap/mmap_shared/munmap), so it can never serve a stale
      * frame across an unmap/remap frame reuse.
      */
@@ -191,7 +198,7 @@ class AddressSpace
     Addr pagemap(Addr va) const;
 
     Pid pid() const { return pid_; }
-    std::uint64_t mapped_pages() const { return pages_.size(); }
+    std::uint64_t mapped_pages() const { return mapped_pages_; }
 
   private:
     struct TlbEntry {
@@ -202,10 +209,19 @@ class AddressSpace
     /** Drops every cached translation (any mapping change). */
     void tlb_flush();
 
+    /** Reserves @p bytes of VA (plus a guard page); returns its base. */
+    Addr reserve_va(std::uint64_t bytes);
+
+    /** Page-table slot of @p va, which must lie below next_va_. */
+    Addr &pte(Addr va) { return pages_[(va - kVaBase) >> kPageShift]; }
+
     Pid pid_;
     FrameAllocator &frames_;
-    Addr next_va_ = 0x7f0000000000ULL;  ///< mmap region grows upward
-    std::unordered_map<Addr, Addr> pages_;  ///< va page -> pa frame
+    Addr next_va_ = kVaBase;  ///< mmap region grows upward
+    /// Flat page table: pa frame of page kVaBase + i * kPageBytes at
+    /// index i, or kInvalidAddr (guard gap or unmapped page).
+    std::vector<Addr> pages_;
+    std::uint64_t mapped_pages_ = 0;
     std::vector<MappedRegion> regions_;
 
     // Direct-mapped translation cache (mutable: translate() is

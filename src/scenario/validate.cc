@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "common/bits.hh"
 #include "common/error.hh"
 #include "common/text.hh"
@@ -152,6 +153,27 @@ validate(const ScenarioSpec &spec)
         throw cell_error(spec,
                          "dram.flip_threshold is zero — every activation "
                          "would flip its neighbours immediately");
+    }
+    // Cache tags are 32-bit line indices, so every physical address must
+    // lie below cache::kTagAddressableBytes. Multiplying factor by factor
+    // against the bound cannot overflow.
+    std::uint64_t capacity = 1;
+    for (const std::uint64_t factor :
+         {std::uint64_t{dram.channels}, std::uint64_t{dram.ranks_per_channel},
+          std::uint64_t{dram.banks_per_rank},
+          std::uint64_t{dram.rows_per_bank}, std::uint64_t{dram.row_bytes}}) {
+        if (factor > cache::kTagAddressableBytes / capacity) {
+            throw cell_error(spec,
+                             "dram geometry exceeds the physical memory "
+                             "the 32-bit cache-line tags can address")
+                .with("channels", dram.channels)
+                .with("ranks_per_channel", dram.ranks_per_channel)
+                .with("banks_per_rank", dram.banks_per_rank)
+                .with("rows_per_bank", dram.rows_per_bank)
+                .with("row_bytes", dram.row_bytes)
+                .with("max_capacity_bytes", cache::kTagAddressableBytes);
+        }
+        capacity *= factor;
     }
 
     const std::vector<TenantSpec> tenants = normalized_tenants(spec.tenants);

@@ -8,6 +8,8 @@
 
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/units.hh"
 #include "dram/address_map.hh"
@@ -264,6 +266,116 @@ TEST_F(DisturbanceTest, NeighborActivationTelemetry)
     EXPECT_GT(model_.disturbance_of(701, start + 2), 2.0);  // alpha kicks in
 }
 
+TEST_F(DisturbanceTest, ActivatedVictimFlipsLikeAnUntouchedOne)
+{
+    // Victim 300 is disturbed (caching its threshold), then activated
+    // mid-window, which restarts its window. From there, double-sided
+    // hammering must flip it after exactly as many activations as a
+    // victim that was never activated at all.
+    const auto pairs_to_flip = [](DisturbanceModel &model,
+                                  const std::vector<FlipEvent> &flips,
+                                  Tick &t) {
+        std::uint64_t pairs = 0;
+        while (flips.empty() && pairs < 150000) {
+            model.on_activate(299, t++);
+            model.on_activate(301, t++);
+            ++pairs;
+        }
+        return pairs;
+    };
+
+    Tick t = ms(1);
+    for (int i = 0; i < 5000; ++i)
+        model_.on_activate(299, t++);
+    model_.on_activate(300, t++);  // victim read => refreshed
+    const std::uint64_t activated = pairs_to_flip(model_, flips_, t);
+
+    std::vector<FlipEvent> fresh_flips;
+    DisturbanceModel fresh{config_, 0, schedule_, fresh_flips};
+    Tick fresh_t = ms(1);
+    const std::uint64_t untouched =
+        pairs_to_flip(fresh, fresh_flips, fresh_t);
+
+    ASSERT_EQ(flips_.size(), 1u);
+    ASSERT_EQ(fresh_flips.size(), 1u);
+    EXPECT_EQ(flips_[0].row, 300u);
+    EXPECT_EQ(fresh_flips[0].row, 300u);
+    EXPECT_EQ(activated, untouched);
+    EXPECT_EQ(flips_[0].disturbance, fresh_flips[0].disturbance);
+}
+
+TEST_F(DisturbanceTest, ManyTouchedRowsLeaveAVictimsAccountingExact)
+{
+    // Hammer victim 300 double-sided while activating ~700 other rows,
+    // enough first touches to reallocate the row-state array many times.
+    // The victim's counts must match a model that touched only the
+    // aggressors, on the same timeline.
+    std::vector<FlipEvent> lean_flips;
+    DisturbanceModel lean{config_, 0, schedule_, lean_flips};
+    std::vector<std::uint32_t> others;
+    for (std::uint32_t row = 0; row < config_.rows_per_bank; ++row) {
+        if (row < 291 || row > 309)
+            others.push_back(row);
+    }
+    const std::uint64_t pairs = 20000;
+    Tick t = ms(1);
+    for (std::uint64_t i = 0; i < pairs; ++i) {
+        model_.on_activate(299, t);
+        lean.on_activate(299, t++);
+        model_.on_activate(301, t);
+        lean.on_activate(301, t++);
+        model_.on_activate(others[i % others.size()], t++);
+    }
+    EXPECT_TRUE(flips_.empty());
+    EXPECT_EQ(model_.neighbor_activations(300, t),
+              lean.neighbor_activations(300, t));
+    EXPECT_EQ(model_.neighbor_activations(300, t),
+              std::make_pair(pairs, pairs));
+    EXPECT_EQ(model_.disturbance_of(300, t), lean.disturbance_of(300, t));
+    EXPECT_GT(lean.disturbance_of(300, t), 2.0 * pairs);
+
+    // Rows never touched by either model read as pristine.
+    for (const DisturbanceModel *model : {&model_, &lean}) {
+        EXPECT_EQ(model->disturbance_of(305, t), 0.0);
+        EXPECT_EQ(model->neighbor_activations(305, t),
+                  std::make_pair(std::uint64_t{0}, std::uint64_t{0}));
+    }
+    EXPECT_EQ(lean.disturbance_of(0, t), 0.0);
+    EXPECT_EQ(lean.neighbor_activations(config_.rows_per_bank - 1, t),
+              std::make_pair(std::uint64_t{0}, std::uint64_t{0}));
+}
+
+TEST_F(DisturbanceTest, EdgeRowsHaveOneNeighbor)
+{
+    const std::uint32_t last = config_.rows_per_bank - 1;
+    Tick t = ms(1);
+    for (int i = 0; i < 10; ++i) {
+        model_.on_activate(1, t++);
+        model_.on_activate(last - 1, t++);
+    }
+    model_.on_activate(0, t++);
+    model_.on_activate(last, t++);
+    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+    // Row 0 was activated after the hammering: its window restarted.
+    EXPECT_EQ(model_.neighbor_activations(0, t), Counts(0, 0));
+    EXPECT_EQ(model_.neighbor_activations(last, t), Counts(0, 0));
+    // Row 2 and row last - 2 saw ten activations from one side only.
+    EXPECT_EQ(model_.neighbor_activations(2, t), Counts(10, 0));
+    EXPECT_EQ(model_.neighbor_activations(last - 2, t), Counts(0, 10));
+    EXPECT_EQ(model_.disturbance_of(2, t), 10.0);
+    // Row 1 and row last - 1 see the edge rows' single activation.
+    EXPECT_EQ(model_.neighbor_activations(1, t), Counts(1, 0));
+    EXPECT_EQ(model_.neighbor_activations(last - 1, t), Counts(0, 1));
+
+    for (int i = 0; i < 10; ++i) {
+        model_.on_activate(1, t++);
+        model_.on_activate(last - 1, t++);
+    }
+    EXPECT_EQ(model_.neighbor_activations(0, t), Counts(0, 10));
+    EXPECT_EQ(model_.neighbor_activations(last, t), Counts(10, 0));
+    EXPECT_EQ(model_.disturbance_of(last, t), 10.0);
+}
+
 TEST(DisturbanceSecondNeighbor, DistanceTwoAccumulatesAtConfiguredWeight)
 {
     DramConfig config = small_config();
@@ -296,6 +408,23 @@ TEST(DisturbanceSecondNeighbor, ClassicModuleHasNoDistanceTwoCoupling)
     EXPECT_DOUBLE_EQ(model.disturbance_of(102, t), 0.0);
     EXPECT_DOUBLE_EQ(model.disturbance_of(98, t), 0.0);
     EXPECT_DOUBLE_EQ(model.disturbance_of(101, t), 1000.0);
+}
+
+TEST(DisturbanceSecondNeighbor, SingleRowBankHasNoNeighbors)
+{
+    // The distance-2 bound must not wrap for a one-row bank: row 0 has
+    // no neighbour on either side to disturb.
+    DramConfig config = small_config();
+    config.rows_per_bank = 1;
+    config.second_neighbor_weight = 0.5;
+    RefreshSchedule schedule{config};
+    std::vector<FlipEvent> flips;
+    DisturbanceModel model{config, 0, schedule, flips};
+    Tick t = ms(1);
+    for (int i = 0; i < 100; ++i)
+        model.on_activate(0, t++);
+    EXPECT_EQ(model.disturbance_of(0, t), 0.0);
+    EXPECT_TRUE(flips.empty());
 }
 
 TEST(DisturbanceSecondNeighbor, HalfDoubleSandwichFlipsTheMiddleVictim)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "common/units.hh"
 #include "mem/memory_system.hh"
@@ -295,6 +296,81 @@ TEST(AddressSpace, TlbFlushedOnSharedMapAndUnmap)
     EXPECT_EQ(viewer.translate(view), kInvalidAddr);
     // The owner's own mapping (and TLB) is unaffected.
     EXPECT_NE(owner.translate(src), kInvalidAddr);
+}
+
+TEST(AddressSpace, FlatPageTableRejectsEveryUnmappedAddress)
+{
+    FrameAllocator frames(64ULL << 20, 12);
+    AddressSpace owner(1, frames);
+    AddressSpace space(0, frames);
+    EXPECT_EQ(space.translate(kVaBase), kInvalidAddr);  // empty table
+
+    const Addr small = space.mmap(2 * kPageBytes);
+    const Addr huge = space.mmap(kHugeBytes);
+    const Addr src = owner.mmap(3 * kPageBytes);
+    const Addr shared = space.mmap_shared(owner, src, 3 * kPageBytes);
+    const Addr end = shared + 3 * kPageBytes;
+
+    // Below the first region.
+    EXPECT_EQ(space.translate(0), kInvalidAddr);
+    EXPECT_EQ(space.translate(kVaBase - 1), kInvalidAddr);
+    EXPECT_EQ(space.translate(kVaBase - kPageBytes), kInvalidAddr);
+    // The guard pages between regions, at both ends.
+    EXPECT_EQ(space.translate(small + 2 * kPageBytes), kInvalidAddr);
+    EXPECT_EQ(space.translate(huge - 1), kInvalidAddr);
+    EXPECT_EQ(space.translate(huge + kHugeBytes), kInvalidAddr);
+    EXPECT_EQ(space.translate(shared - 1), kInvalidAddr);
+    // Past the last region: its guard page, far beyond, the top of VA.
+    EXPECT_EQ(space.translate(end), kInvalidAddr);
+    EXPECT_EQ(space.translate(end + kPageBytes), kInvalidAddr);
+    EXPECT_EQ(space.translate(kVaBase + (1ULL << 40)), kInvalidAddr);
+    EXPECT_EQ(space.translate(kInvalidAddr), kInvalidAddr);
+
+    // Every page of every region is mapped until it is unmapped.
+    const std::pair<Addr, std::uint64_t> regions[] = {
+        {small, 2 * kPageBytes},
+        {huge, kHugeBytes},
+        {shared, 3 * kPageBytes},
+    };
+    for (const auto &[base, bytes] : regions) {
+        EXPECT_NE(space.translate(base), kInvalidAddr);
+        EXPECT_NE(space.translate(base + bytes - 1), kInvalidAddr);
+    }
+    for (const auto &[base, bytes] : regions) {
+        space.munmap(base, bytes);
+        for (Addr va = base; va < base + bytes; va += kPageBytes)
+            EXPECT_EQ(space.translate(va), kInvalidAddr) << va - base;
+    }
+    // The shared view's source mapping is untouched.
+    EXPECT_NE(owner.translate(src + 2 * kPageBytes), kInvalidAddr);
+}
+
+TEST(AddressSpace, MappedPagesTracksMapAndUnmap)
+{
+    FrameAllocator frames(64ULL << 20, 13);
+    AddressSpace owner(1, frames);
+    AddressSpace space(0, frames);
+    EXPECT_EQ(space.mapped_pages(), 0u);
+
+    const Addr small = space.mmap(2 * kPageBytes + 1);  // rounds up
+    EXPECT_EQ(space.mapped_pages(), 3u);
+    const Addr huge = space.mmap(kHugeBytes + 1);  // two THP blocks
+    const std::uint64_t huge_pages = 2 * kHugeBytes / kPageBytes;
+    EXPECT_EQ(space.mapped_pages(), 3u + huge_pages);
+    const Addr src = owner.mmap(4 * kPageBytes);
+    const Addr shared = space.mmap_shared(owner, src, 4 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 7u + huge_pages);
+    EXPECT_EQ(owner.mapped_pages(), 4u);
+
+    space.munmap(huge, 2 * kHugeBytes);
+    EXPECT_EQ(space.mapped_pages(), 7u);
+    space.munmap(shared, 4 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 3u);
+    EXPECT_EQ(owner.mapped_pages(), 4u);
+    space.munmap(small, 3 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 0u);
+    space.munmap(small, 3 * kPageBytes);  // already gone: no-op
+    EXPECT_EQ(space.mapped_pages(), 0u);
 }
 
 class MemorySystemTest : public ::testing::Test

@@ -335,6 +335,27 @@ TEST(Validate, RejectsZeroRowDram)
     expect_invalid(spec, "rows_per_bank");
 }
 
+TEST(Validate, RejectsDramBeyondTheCacheTagRange)
+{
+    // 16 banks x 2^21 rows x 8 KiB = 2^38 bytes: the largest module the
+    // 32-bit line-index tags cover.
+    scenario::ScenarioSpec spec = detection_spec();
+    ASSERT_EQ(spec.system.dram.total_banks(), 16u);
+    spec.system.dram.rows_per_bank = 1u << 21;
+    EXPECT_EQ(spec.system.dram.capacity_bytes(), cache::kTagAddressableBytes);
+    EXPECT_NO_THROW(scenario::validate(spec));
+
+    spec.system.dram.rows_per_bank = 1u << 22;
+    expect_invalid(spec, "dram geometry");
+    expect_invalid(spec, "rows_per_bank=4194304");
+
+    // A geometry whose byte count overflows 64 bits is rejected too.
+    spec.system.dram.channels = 1u << 31;
+    spec.system.dram.rows_per_bank = 1u << 31;
+    spec.system.dram.row_bytes = 1u << 31;
+    expect_invalid(spec, "dram geometry");
+}
+
 TEST(Validate, RejectsHammerModeWithoutAttack)
 {
     scenario::ScenarioSpec spec = detection_spec();
