@@ -1,6 +1,9 @@
 #include "common/text.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace anvil {
 
@@ -42,6 +45,21 @@ nearest_name(std::string_view name,
     if (best_distance > cutoff)
         return std::nullopt;
     return *best;
+}
+
+std::optional<std::uint64_t>
+parse_unsigned(const std::string &text)
+{
+    // strtoull skips leading blanks and negates a leading '-' (so "-1"
+    // would parse as 2^64-1): insist on a digit first.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+    if (end != text.c_str() + text.size() || errno == ERANGE)
+        return std::nullopt;
+    return v;
 }
 
 }  // namespace anvil

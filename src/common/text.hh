@@ -1,12 +1,14 @@
 /**
  * @file
  * Small text utilities shared by CLI drivers and spec validation:
- * edit distance and nearest-name typo suggestions ("did you mean ...?").
+ * edit distance, nearest-name typo suggestions ("did you mean ...?"),
+ * and the strict unsigned-integer decoder every numeric input uses.
  */
 #ifndef ANVIL_COMMON_TEXT_HH
 #define ANVIL_COMMON_TEXT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,6 +28,14 @@ std::size_t edit_distance(std::string_view a, std::string_view b);
 std::optional<std::string>
 nearest_name(std::string_view name,
              const std::vector<std::string> &candidates);
+
+/**
+ * Parses all of @p text as an unsigned 64-bit integer (strtoull base 0:
+ * decimal, 0x hex, 0 octal). Unlike bare strtoull, a sign, leading
+ * blanks, trailing bytes, and values past 2^64-1 are all rejected.
+ * @return nullopt when @p text is not exactly such a number.
+ */
+std::optional<std::uint64_t> parse_unsigned(const std::string &text);
 
 }  // namespace anvil
 

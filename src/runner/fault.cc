@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/rng.hh"
+#include "common/text.hh"
 #include "runner/journal.hh"
 
 namespace anvil::runner {
@@ -99,13 +100,13 @@ parse_fault(const std::string &text)
     fault.kind = parse_kind(text.substr(0, at));
     fault.scenario = text.substr(at + 1, colon - at - 1);
     const std::string trial = text.substr(colon + 1);
-    char *end = nullptr;
-    fault.trial = std::strtoull(trial.c_str(), &end, 0);
-    if (end == trial.c_str() || *end != '\0') {
+    const std::optional<std::uint64_t> index = parse_unsigned(trial);
+    if (!index) {
         throw Error("malformed fault trial index")
             .with("spec", text)
             .with("trial", trial);
     }
+    fault.trial = *index;
     return fault;
 }
 

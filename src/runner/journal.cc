@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <string_view>
 
 namespace anvil::runner {
 namespace {
@@ -156,36 +155,33 @@ decode_header(const std::string &data, const std::string &path,
     }
     Decoder d(data.data() + sizeof kMagic, data.size() - sizeof kMagic);
     JournalHeader header;
+    std::uint32_t version = 0;
     try {
-        const std::uint32_t version = d.get_u32();
-        if (version != kVersion) {
-            throw Error("journal format version is not supported by "
-                        "this build; delete the journal and rerun")
-                .with("path", path)
-                .with("version", std::uint64_t{version})
-                .with("supported", std::uint64_t{kVersion});
+        version = d.get_u32();
+        if (version == kVersion) {
+            header.master_seed = d.get_u64();
+            header.sweep = d.get_string();
+            header.plan_hash = d.get_u64();
+            header.shard_index = d.get_u32();
+            header.shard_count = d.get_u32();
         }
-        header.master_seed = d.get_u64();
-        header.sweep = d.get_string();
-        header.plan_hash = d.get_u64();
-        header.shard_index = d.get_u32();
-        header.shard_count = d.get_u32();
     } catch (const Error &e) {
-        if (std::string_view(e.message()).find("version") !=
-            std::string_view::npos)
-            throw;
         throw Error("journal header is truncated")
             .with("path", path)
             .caused_by(e);
+    }
+    if (version != kVersion) {
+        throw Error("journal format version is not supported by this "
+                    "build; delete the journal and rerun")
+            .with("path", path)
+            .with("version", std::uint64_t{version})
+            .with("supported", std::uint64_t{kVersion});
     }
     size = encode_header(header).size();
     return header;
 }
 
-/**
- * Field-by-field header validation: exact for name, seed, and plan
- * hash, and for shard identity when the caller expects a shard journal.
- */
+/** Field-by-field header validation: name, seed, plan hash, shard. */
 void
 validate_header(const JournalHeader &got, const JournalHeader &expect,
                 const std::string &path)
@@ -209,9 +205,8 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
             .with_hex("journal_plan", got.plan_hash)
             .with_hex("plan", expect.plan_hash);
     }
-    if (expect.shard_count != 0 &&
-        (got.shard_count != expect.shard_count ||
-         got.shard_index != expect.shard_index)) {
+    if (got.shard_count != expect.shard_count ||
+        got.shard_index != expect.shard_index) {
         throw Error("journal belongs to a different shard assignment")
             .with("path", path)
             .with_shard(got.shard_index, got.shard_count)
@@ -385,12 +380,6 @@ encode_journal_payload(const TrialSpec &spec, const TrialOutcome &outcome)
 }
 
 std::string
-journal_path(const std::string &json_out)
-{
-    return json_out + ".journal";
-}
-
-std::string
 shard_journal_path(const std::string &json_out, std::uint32_t index)
 {
     return json_out + ".shard-" + std::to_string(index) + ".journal";
@@ -491,18 +480,6 @@ JournalWriter::close()
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-JournalHeader
-read_journal_header(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw Error("cannot read journal").with("path", path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::size_t size = 0;
-    return decode_header(data, path, size);
 }
 
 std::vector<JournalRecord>

@@ -3,21 +3,23 @@
  * Crash-safe checkpoint journal for sweep execution.
  *
  * While a sweep with a file JSON destination runs, every completed
- * trial's outcome is appended to `<json-out>.journal` as a
- * length-prefixed, checksummed, fsync'd binary record. If the process
- * dies mid-sweep — Ctrl-C, SIGKILL, OOM — `--resume` replays the journal,
- * skips the trials it holds, runs only the remainder, and produces final
- * JSON byte-identical to an uninterrupted run (the sink aggregates in
- * plan order, and doubles are journaled as raw IEEE-754 bits, so replayed
+ * trial's outcome is appended to its journal as a length-prefixed,
+ * checksummed, fsync'd binary record. If the process dies mid-sweep —
+ * Ctrl-C, SIGKILL, OOM — `--resume` replays the journal, skips the
+ * trials it holds, runs only the remainder, and produces final JSON
+ * byte-identical to an uninterrupted run (the sink aggregates in plan
+ * order, and doubles are journaled as raw IEEE-754 bits, so replayed
  * results are bit-exact).
  *
- * Sharded runs (anvil-sim shard/supervise) write one journal per shard,
- * `<json-out>.shard-K.journal`. The header then carries the shard's
- * identity (index, count) and a hash of the full trial plan, so a merge
- * can refuse journals from a different sweep definition; shard journals
- * also interleave *lease records* — periodic heartbeats appended by the
- * child — so a supervisor can tell a shard that is slowly working from
- * one that is wedged.
+ * Every journal is a shard journal, `<json-out>.shard-K.journal`: an
+ * in-process run is shard 0 of a one-shard campaign, and
+ * `anvil-sim shard`/`supervise` children are shards K of N. The header
+ * carries the shard's identity (index, count) and a hash of the full
+ * trial plan, so a resume or merge can refuse journals from a different
+ * sweep definition or shard assignment. Shard children also interleave
+ * *lease records* — periodic heartbeats — so a supervisor can tell a
+ * shard that is slowly working from one that is wedged; an in-process
+ * run writes none.
  *
  * Recovery rules:
  *   - a torn trailing record (partial write at the kill point) is
@@ -56,8 +58,8 @@ struct JournalHeader {
     /// plan_hash() over the *full* sweep plan.
     std::uint64_t plan_hash = 0;
     std::uint32_t shard_index = 0;
-    /// Number of shards in the campaign; 0 = not a shard journal.
-    std::uint32_t shard_count = 0;
+    /// Number of shards in the campaign (1 for an in-process run).
+    std::uint32_t shard_count = 1;
 };
 
 /** One replayed journal entry: the trial's identity and its outcome. */
@@ -115,20 +117,12 @@ class JournalWriter
 /**
  * Reads every intact trial record of @p path (lease records are
  * skipped), validating the header against @p expect: sweep name, master
- * seed, and plan hash always; shard identity only when @p expect is a
- * shard journal (nonzero shard_count). A torn or corrupt tail is
+ * seed, plan hash, and shard identity. A torn or corrupt tail is
  * truncated from the file (recovery, reported on stderr), not an error.
  * @throw Error when the file exists but belongs to a different sweep.
  */
 std::vector<JournalRecord> read_journal(const std::string &path,
                                         const JournalHeader &expect);
-
-/**
- * Reads and returns just the header of @p path (merge diagnostics:
- * report which shard a journal claims to be before validating it).
- * @throw Error when the file is missing or not a journal.
- */
-JournalHeader read_journal_header(const std::string &path);
 
 /**
  * Canonical encoding of one trial record's payload. Two records encode
@@ -138,9 +132,6 @@ JournalHeader read_journal_header(const std::string &path);
  */
 std::string encode_journal_payload(const TrialSpec &spec,
                                    const TrialOutcome &outcome);
-
-/** The journal path for a JSON destination: `<json_out>.journal`. */
-std::string journal_path(const std::string &json_out);
 
 /** Shard @p index's journal: `<json_out>.shard-K.journal`. */
 std::string shard_journal_path(const std::string &json_out,

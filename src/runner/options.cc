@@ -1,6 +1,5 @@
 #include "runner/options.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -10,6 +9,7 @@
 #include <string_view>
 
 #include "common/error.hh"
+#include "common/text.hh"
 #include "runner/shard.hh"
 
 namespace anvil::runner {
@@ -32,8 +32,8 @@ print_usage(const char *prog, const std::string &extra)
            "(same seed)\n"
         << "  --trial-timeout N  per-trial simulated-event budget "
            "(0 = unlimited)\n"
-        << "  --resume           replay <json-out>.journal and run only "
-           "missing trials\n"
+        << "  --resume           replay <json-out>.shard-0.journal and run "
+           "only missing trials\n"
         << "  --inject-fault S   inject a deterministic fault, "
            "S = kind@scenario:trial\n"
         << "                     (kind: throw | flaky | hang | corrupt | "
@@ -74,23 +74,18 @@ constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
  */
 std::uint64_t
 parse_u64(const char *prog, const std::string &extra, std::string_view flag,
-          const char *text,
+          const std::string &text,
           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    // strtoull skips leading blanks and negates a leading '-' (so "-1"
-    // would parse as 2^64-1): insist on a digit first.
-    const bool digit = std::isdigit(static_cast<unsigned char>(*text));
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (!digit || *end != '\0' || errno == ERANGE || v > max) {
+    const std::optional<std::uint64_t> v = parse_unsigned(text);
+    if (!v || *v > max) {
         std::cerr << prog << ": bad value for " << flag << ": '" << text
                   << "' (expected an unsigned integer <= " << max
                   << ")\n";
         print_usage(prog, extra);
         std::exit(2);
     }
-    return v;
+    return *v;
 }
 
 }  // namespace
@@ -118,6 +113,11 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
 {
     CliOptions opts;
     const char *prog = argc > 0 ? argv[0] : "bench";
+    const auto usage_error = [&](const std::string &msg) {
+        std::cerr << prog << ": " << msg << "\n";
+        print_usage(prog, extra_usage);
+        std::exit(2);
+    };
     std::optional<std::uint32_t> shard_index;
     std::optional<std::uint32_t> shard_count;
     std::optional<std::string> shard_trials;
@@ -125,7 +125,7 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
 
     for (int i = 1; i < argc; ++i) {
         std::string_view arg = argv[i];
-        std::string inline_value;
+        std::optional<std::string> inline_value;
         // Accept both "--flag value" and "--flag=value".
         if (const auto eq = arg.find('=');
             arg.rfind("--", 0) == 0 && eq != std::string_view::npos) {
@@ -133,13 +133,12 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             arg = arg.substr(0, eq);
         }
         const auto take_value = [&]() -> const char * {
-            if (!inline_value.empty())
-                return inline_value.c_str();
-            if (i + 1 >= argc) {
-                std::cerr << prog << ": " << arg << " needs a value\n";
-                print_usage(prog, extra_usage);
-                std::exit(2);
-            }
+            // "--flag=" is an empty value, never a cue to take the next
+            // argument (which would swallow "--jobs" as a report path).
+            if (inline_value && !inline_value->empty())
+                return inline_value->c_str();
+            if (inline_value || i + 1 >= argc)
+                usage_error(std::string(arg) + " needs a value");
             return argv[++i];
         };
 
@@ -171,10 +170,8 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             try {
                 opts.sweep.faults.push_back(parse_fault(take_value()));
             } catch (const Error &e) {
-                std::cerr << prog << ": bad value for --inject-fault: "
-                          << e.what() << "\n";
-                print_usage(prog, extra_usage);
-                std::exit(2);
+                usage_error(std::string("bad value for --inject-fault: ") +
+                            e.what());
             }
         } else if (arg == "--shard-index") {
             shard_index = static_cast<std::uint32_t>(
@@ -200,38 +197,26 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             opts.supervisor.backoff_ms =
                 parse_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--shard-jobs") {
-            opts.supervisor.shard_jobs = static_cast<unsigned>(
+            opts.shard_jobs = static_cast<unsigned>(
                 parse_u64(prog, extra_usage, arg, take_value(), kU32Max));
         } else if (arg == "--check") {
             opts.check = true;
         } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << prog << ": unknown flag " << arg << "\n";
-            print_usage(prog, extra_usage);
-            std::exit(2);
+            usage_error("unknown flag " + std::string(arg));
         } else {
             opts.positional.emplace_back(argv[i]);
         }
     }
     if (opts.sweep.resume && opts.sweep.replay_trial) {
-        std::cerr << prog << ": --resume and --replay-trial are mutually "
-                     "exclusive (a replay runs one trial and writes no "
-                     "journal)\n";
-        print_usage(prog, extra_usage);
-        std::exit(2);
+        usage_error("--resume and --replay-trial are mutually exclusive (a "
+                    "replay runs one trial and writes no journal)");
     }
     if (opts.sweep.resume &&
         (opts.sweep.json_out.empty() || opts.sweep.json_out == "-")) {
-        std::cerr << prog << ": --resume needs --json-out FILE (the "
-                     "journal lives next to the JSON report)\n";
-        print_usage(prog, extra_usage);
-        std::exit(2);
+        usage_error("--resume needs --json-out FILE (the journal lives "
+                    "next to the JSON report)");
     }
     if (shard_index || shard_count || shard_trials || lease_interval_ms) {
-        const auto usage_error = [&](const std::string &msg) {
-            std::cerr << prog << ": " << msg << "\n";
-            print_usage(prog, extra_usage);
-            std::exit(2);
-        };
         if (!shard_index || !shard_count) {
             usage_error("sharded runs need both --shard-index and "
                         "--shard-count");

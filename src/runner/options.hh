@@ -12,7 +12,7 @@
  *   --replay-trial N   run only global trial N, serially (debugging)
  *   --retries N        re-run failed trials up to N extra times
  *   --trial-timeout N  per-trial simulated-event budget (0 = unlimited)
- *   --resume           replay <json-out>.journal; run only what's missing
+ *   --resume           replay <json-out>.shard-0.journal; run the rest
  *   --inject-fault S   deterministic fault "kind@scenario:trial" (CI/tests)
  *   --help             usage
  *
@@ -32,20 +32,10 @@
 #include <string>
 #include <vector>
 
+#include "runner/supervisor.hh"
 #include "runner/sweep.hh"
 
 namespace anvil::runner {
-
-/** Supervisor tuning knobs (anvil-sim supervise). */
-struct SupervisorCli {
-    std::uint32_t shards = 4;            ///< --shards
-    unsigned respawn_budget = 3;         ///< --respawn-budget
-    std::uint64_t lease_timeout_ms = 10000;  ///< --lease-timeout-ms
-    std::uint64_t backoff_ms = 200;      ///< --backoff-ms
-    /// --shard-jobs: worker threads per shard child; 0 = divide the
-    /// machine's hardware threads evenly across the shards.
-    unsigned shard_jobs = 0;
-};
 
 /** Parsed command line of a runner-based sweep. */
 struct CliOptions {
@@ -54,8 +44,12 @@ struct CliOptions {
     std::uint64_t trials = 0;
     /// Non-flag arguments, in order.
     std::vector<std::string> positional;
-    /// Supervisor knobs (meaningful to `anvil-sim supervise` only).
-    SupervisorCli supervisor;
+    /// --shards, --respawn-budget, --lease-timeout-ms, --backoff-ms
+    /// (meaningful to `anvil-sim supervise` and `merge` only).
+    SupervisorOptions supervisor;
+    /// --shard-jobs: worker threads per shard child; 0 = divide the
+    /// machine's hardware threads evenly across the shards.
+    unsigned shard_jobs = 0;
     /// --check: merge validates shard journals without writing a report.
     bool check = false;
 

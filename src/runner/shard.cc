@@ -1,10 +1,10 @@
 #include "runner/shard.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
+#include "common/text.hh"
 #include "runner/journal.hh"
 
 namespace anvil::runner {
@@ -48,15 +48,14 @@ parse_trial_ranges(const std::string &text)
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
         const auto parse_u64 = [&](const std::string &s) {
-            char *end = nullptr;
-            const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-            if (end == s.c_str() || *end != '\0') {
+            const std::optional<std::uint64_t> v = parse_unsigned(s);
+            if (!v) {
                 throw Error("malformed trial range (expected "
                             "\"A-B[,C-D...]\")")
                     .with("ranges", text)
                     .with("part", part);
             }
-            return v;
+            return *v;
         };
         TrialRange range;
         const std::size_t dash = part.find('-');

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include "runner/journal.hh"
+#include "runner/shard.hh"
 #include "runner/thread_pool.hh"
 
 namespace anvil::runner {
@@ -251,36 +253,33 @@ Sweep::run()
     run.outcomes.resize(pending.size());
     std::vector<bool> replayed(pending.size(), false);
 
-    // A sharded run executes only its assigned ranges; everything else
-    // in the plan belongs to sibling processes. `mine[i]` is the
-    // ownership mask (all-true when unsharded).
-    const ShardAssignment *shard =
-        options_.shard ? &*options_.shard : nullptr;
-    std::vector<bool> mine(pending.size(), true);
-    if (shard != nullptr) {
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            mine[i] = shard->owns(pending[i].spec.global_index);
-    }
+    // An in-process run is shard 0 of a one-shard campaign that owns every
+    // trial and beats no lease: one journal name, one header rule, and
+    // one resume path serve both. `mine[i]` is the ownership mask.
+    const ShardAssignment shard = options_.shard.value_or(ShardAssignment{
+        .index = 0,
+        .count = 1,
+        .ranges = {TrialRange{0, std::numeric_limits<std::uint64_t>::max()}},
+        .lease_interval_ms = 0});
+    std::vector<bool> mine(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        mine[i] = shard.owns(pending[i].spec.global_index);
 
     // Checkpoint/resume: replay the journal, validate each record against
     // the plan (the sweep definition must not have changed under us), and
-    // pre-fill those slots so only the remainder executes. A shard always
-    // resumes from its own journal — that is how a respawned child picks
-    // up where its predecessor crashed.
+    // pre-fill those slots so only the remainder executes. A shard child
+    // always resumes from its own journal — that is how a respawned child
+    // picks up where its predecessor crashed.
     const bool journaling = journaling_enabled(options_);
-    const bool resuming = options_.resume || shard != nullptr;
+    const bool resuming = options_.resume || options_.shard.has_value();
     JournalHeader header;
     header.sweep = options_.name;
     header.master_seed = options_.master_seed;
     header.plan_hash = plan_digest();
-    if (shard != nullptr) {
-        header.shard_index = shard->index;
-        header.shard_count = shard->count;
-    }
+    header.shard_index = shard.index;
+    header.shard_count = shard.count;
     const std::string jpath =
-        shard != nullptr
-            ? shard_journal_path(options_.json_out, shard->index)
-            : journal_path(options_.json_out);
+        shard_journal_path(options_.json_out, shard.index);
     if (resuming && journaling) {
         for (JournalRecord &rec : read_journal(jpath, header)) {
             const std::uint64_t i = rec.spec.global_index;
@@ -316,7 +315,7 @@ Sweep::run()
             // not worth killing the run over — run unjournaled and let
             // the final report write surface the unwritable path as its
             // own exit code.
-            if (options_.resume || shard != nullptr)
+            if (resuming)
                 throw;
             std::cerr << "[runner] " << options_.name
                       << ": running without a checkpoint journal: "
@@ -336,8 +335,7 @@ Sweep::run()
         faults.set_marker_base(options_.json_out);
     // Shards prove liveness between trial completions; a supervisor
     // whose lease on this journal expires declares the shard hung.
-    LeaseHeartbeat heartbeat(
-        journal, shard != nullptr ? shard->lease_interval_ms : 0);
+    LeaseHeartbeat heartbeat(journal, shard.lease_interval_ms);
     const auto execute = [&](std::size_t i) {
         // The drain point: a shutdown request skips every trial that has
         // not started yet; in-flight trials run to completion.
@@ -391,9 +389,12 @@ Sweep::run()
     // A shard aggregates (and reports) only its assigned trials — its
     // durable output is the journal, and the merge owns the JSON.
     run.sink.set_meta(options_.name, options_.master_seed);
+    std::uint64_t assigned = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
         if (!mine[i])
             continue;
+        ++assigned;
+        const TrialSpec &spec = pending[i].spec;
         const TrialOutcome &outcome = run.outcomes[i];
         switch (outcome.status) {
           case TrialStatus::kSkipped:
@@ -405,34 +406,22 @@ Sweep::run()
           case TrialStatus::kFailed:
           case TrialStatus::kTimedOut:
               ++run.failed;
+              std::cerr << "[runner] " << options_.name << " trial #"
+                        << spec.global_index << " (" << spec.scenario
+                        << "/" << spec.trial << ") "
+                        << to_string(outcome.status);
+              if (outcome.attempts > 1)
+                  std::cerr << " after " << outcome.attempts << " attempts";
+              std::cerr << ": " << outcome.error
+                        << " (replay with --jobs 1 --replay-trial "
+                        << spec.global_index << ")\n";
               break;
         }
-        run.sink.add(pending[i].spec, outcome);
+        run.sink.add(spec, outcome);
     }
-
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!mine[i])
-            continue;
-        const TrialOutcome &outcome = run.outcomes[i];
-        if (!outcome.failed())
-            continue;
-        std::cerr << "[runner] " << options_.name << " trial #"
-                  << pending[i].spec.global_index << " ("
-                  << pending[i].spec.scenario << "/"
-                  << pending[i].spec.trial << ") "
-                  << to_string(outcome.status);
-        if (outcome.attempts > 1)
-            std::cerr << " after " << outcome.attempts << " attempts";
-        std::cerr << ": " << outcome.error
-                  << " (replay with --jobs 1 --replay-trial "
-                  << pending[i].spec.global_index << ")\n";
-    }
-    std::uint64_t assigned = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        assigned += mine[i] ? 1 : 0;
     std::cerr << "[runner] " << options_.name;
-    if (shard != nullptr)
-        std::cerr << " shard " << shard->index << "/" << shard->count;
+    if (options_.shard)
+        std::cerr << " shard " << shard.index << "/" << shard.count;
     std::cerr << ": " << assigned << " trial(s) on " << jobs
               << " job(s) in " << run.wall_seconds << " s";
     if (run.resumed != 0)
@@ -519,7 +508,7 @@ finish_sweep(const SweepRun &run, const SweepOptions &options)
                   << run.skipped << " trial(s) not run";
         if (journaling) {
             std::cerr << "; resume with --resume (journal: "
-                      << journal_path(options.json_out) << ")";
+                      << shard_journal_path(options.json_out, 0) << ")";
         }
         std::cerr << "\n";
         // No JSON: a partial report must never overwrite a committed one.
@@ -529,7 +518,7 @@ finish_sweep(const SweepRun &run, const SweepOptions &options)
         return kExitJsonError;
     // The report is durably committed; the checkpoint is now redundant.
     if (journaling)
-        std::remove(journal_path(options.json_out).c_str());
+        remove_shard_journals(options.json_out, 1);
     return run.failed != 0 ? kExitTrialFailure : kExitOk;
 }
 

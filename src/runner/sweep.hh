@@ -17,9 +17,10 @@
  *   - --retries N re-runs a failing trial with its identical re-derived
  *     seed, so a flaky-infra retry cannot change results;
  *   - with a file JSON destination, every completed trial is journaled
- *     (append-only, checksummed, fsync'd) to `<json-out>.journal`;
- *     --resume replays the journal and runs only the remainder, and the
- *     final JSON is byte-identical to an uninterrupted run;
+ *     (append-only, checksummed, fsync'd) to `<json-out>.shard-0.journal`
+ *     (an in-process run is shard 0 of a one-shard campaign); --resume
+ *     replays the journal and runs only the remainder, and the final JSON
+ *     is byte-identical to an uninterrupted run;
  *   - request_shutdown() (wired to SIGINT/SIGTERM by the driver) drains
  *     the sweep: in-flight trials finish, unstarted trials are skipped,
  *     the journal stays on disk for --resume, and finish_sweep() maps
@@ -61,8 +62,9 @@ struct TrialRange {
 /**
  * One shard's slice of a sharded campaign: which trials this process
  * owns, its identity within the shard set, and how often it proves
- * liveness. A sharded Sweep::run() journals to
- * `<json-out>.shard-K.journal`, always resumes from that journal, never
+ * liveness. Sweep::run() journals to `<json-out>.shard-K.journal`; a
+ * run without an assignment is shard 0 of 1, owning every trial, with
+ * no heartbeat. A shard child always resumes from its journal, never
  * writes the JSON report (the supervisor's merge does), and appends a
  * lease heartbeat every @p lease_interval_ms so a supervisor can tell
  * slow progress from a wedged process.
@@ -93,12 +95,12 @@ struct SweepOptions {
     unsigned retries = 0;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
-    /// Replay `<json-out>.journal` and run only the missing trials.
+    /// Replay `<json-out>.shard-0.journal` and run only the missing trials.
     bool resume = false;
     /// Deterministic fault injections (tests / CI).
     std::vector<FaultSpec> faults;
     /// When set, run as one shard of a multi-process campaign (implies
-    /// resume-from-shard-journal; requires a file json_out).
+    /// resume; requires a file json_out). Unset = shard 0 of 1.
     std::optional<ShardAssignment> shard;
 };
 

@@ -258,5 +258,21 @@ TEST(Text, NearestNameSuggestsOnlyGenuineNearMisses)
     EXPECT_FALSE(nearest_name("x", {}).has_value());
 }
 
+TEST(Text, ParseUnsignedAcceptsOnlyWholeUnsignedNumbers)
+{
+    EXPECT_EQ(parse_unsigned("0"), 0u);
+    EXPECT_EQ(parse_unsigned("42"), 42u);
+    EXPECT_EQ(parse_unsigned("0x1f"), 31u);
+    EXPECT_EQ(parse_unsigned("18446744073709551615"), ~std::uint64_t{0});
+    // strtoull accepts every one of these: a negated "-1" wraps to
+    // 2^64-1, blanks and '+' are skipped, trailing bytes are left for the
+    // caller to notice, and 2^64 saturates.
+    for (const std::string &text : std::vector<std::string>{
+             "", "-1", " 1", "+1", "1 ", "1x", "0x", "18446744073709551616",
+             "-18446744073709551616", std::string("1\0", 2)}) {
+        EXPECT_FALSE(parse_unsigned(text).has_value()) << "'" << text << "'";
+    }
+}
+
 }  // namespace
 }  // namespace anvil

@@ -92,7 +92,7 @@ temp_path(const std::string &name)
     const std::string path =
         ::testing::TempDir() + "anvil_fault_test_" + name;
     std::remove(path.c_str());
-    std::remove((path + ".journal").c_str());
+    std::remove(runner::shard_journal_path(path, 0).c_str());
     return path;
 }
 
@@ -128,6 +128,14 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(runner::parse_fault("throw@x:notanumber"), Error);
     EXPECT_THROW(runner::parse_fault("bogus@x:1"), Error);
     EXPECT_THROW(runner::parse_fault("throw@x:"), Error);
+    // strtoull would accept all of these: a negated "-1" wraps to 2^64-1,
+    // blanks and '+' are skipped, and 2^64 saturates.
+    for (const char *trial : {"-1", " 1", "+1", "18446744073709551616",
+                              "-18446744073709551616"}) {
+        EXPECT_THROW(runner::parse_fault(std::string("throw@x:") + trial),
+                     Error)
+            << "'" << trial << "'";
+    }
 }
 
 TEST(FaultSpec, PlanMatchesExactCoordinatesOnly)
@@ -416,6 +424,26 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         runner::read_journal(garbage, journal_header("synthetic", 1)),
         Error);
 
+    // A journal magic followed by an unsupported version, or by a header
+    // cut short: each refusal names its own cause.
+    const std::string magic = "ANVLJNL1";
+    const std::string old_version = magic + std::string("\x01\0\0\0", 4);
+    const std::string truncated =
+        magic + std::string("\x02\0\0\0", 4) + "\x05";
+    for (const auto &[bytes, cause] :
+         {std::pair{old_version, "version is not supported"},
+          std::pair{truncated, "header is truncated"}}) {
+        const std::string path = temp_path("bad_header.journal");
+        std::ofstream(path, std::ios::binary) << bytes;
+        try {
+            runner::read_journal(path, journal_header("synthetic", 1));
+            FAIL() << "accepted a journal whose " << cause;
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+                << e.what();
+        }
+    }
+
     const std::string other = temp_path("other_sweep.journal");
     {
         runner::JournalWriter writer;
@@ -491,7 +519,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
         runner::SweepRun run =
             two_scenario_sweep(ref_options, synthetic_result).run();
         EXPECT_EQ(runner::finish_sweep(run, ref_options), runner::kExitOk);
-        EXPECT_FALSE(file_exists(runner::journal_path(ref_json)))
+        EXPECT_FALSE(file_exists(runner::shard_journal_path(ref_json, 0)))
             << "a committed report must remove its journal";
     }
     const std::string reference = slurp(ref_json);
@@ -520,7 +548,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
                   runner::kExitPartial);
         EXPECT_FALSE(file_exists(out_json))
             << "a partial run must not write final JSON";
-        EXPECT_TRUE(file_exists(runner::journal_path(out_json)))
+        EXPECT_TRUE(file_exists(runner::shard_journal_path(out_json, 0)))
             << "the journal must survive for --resume";
     }
 
@@ -537,7 +565,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
     }
     EXPECT_EQ(slurp(out_json), reference)
         << "resume must be byte-identical to an uninterrupted run";
-    EXPECT_FALSE(file_exists(runner::journal_path(out_json)));
+    EXPECT_FALSE(file_exists(runner::shard_journal_path(out_json, 0)));
 }
 
 TEST(Resume, RefusesAJournalThatContradictsThePlan)
@@ -573,7 +601,7 @@ TEST(Resume, RefusesAJournalThatContradictsThePlan)
                   std::string::npos)
             << e.what();
     }
-    std::remove(runner::journal_path(out_json).c_str());
+    std::remove(runner::shard_journal_path(out_json, 0).c_str());
 }
 
 TEST(Output, JsonWritesAreAtomicAndFailuresAreReported)

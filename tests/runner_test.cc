@@ -431,6 +431,12 @@ TEST(CliOptions, RejectsSignedOverflowingAndTruncatedFlagValues)
                 ExitedWithCode(2), "bad value for --shard-count");
     EXPECT_EXIT(parse_flags({"--shards", "4294967296"}), ExitedWithCode(2),
                 "bad value for --shards");
+    // An empty inline value must not swallow the next argument (the
+    // report would be written to a file named "--jobs").
+    EXPECT_EXIT(parse_flags({"--json-out=", "--jobs", "1"}),
+                ExitedWithCode(2), "--json-out needs a value");
+    EXPECT_EXIT(parse_flags({"--master-seed=", "5"}), ExitedWithCode(2),
+                "--master-seed needs a value");
 }
 
 TEST(CliOptions, RejectsNonNumericPositionals)

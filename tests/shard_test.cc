@@ -4,8 +4,10 @@
  * runner/supervisor.hh): trial partitioning and range syntax, in-process
  * shard runs whose journals merge byte-identically to a direct run (in
  * any completion order, with empty shards, and across requeue-style
- * overlaps), the merge validator's rejection paths (divergent
- * duplicates, foreign plan headers, incomplete campaigns), lease-record
+ * overlaps), unsharded runs as shard 0 of a one-shard campaign (their
+ * journal merges and resumes like a shard child's), the merge
+ * validator's rejection paths (divergent duplicates, foreign plan
+ * headers, shard-count mismatches, incomplete campaigns), lease-record
  * replay semantics, process-fault once-markers, and — through the real
  * anvil-sim binary (ANVIL_SIM_PATH) — the headline guarantee: a
  * supervised multi-process run with injected shard crashes and stalls
@@ -121,6 +123,21 @@ synthetic_plan()
     return sweep.plan_specs();
 }
 
+/**
+ * Runs the synthetic sweep in-process (no shard assignment) with a file
+ * report destination; the caller decides whether to finish it.
+ */
+runner::SweepRun
+run_in_process(const std::string &json_out, bool resume = false)
+{
+    runner::SweepOptions options = base_options();
+    options.json_out = json_out;
+    options.resume = resume;
+    runner::Sweep sweep(std::move(options));
+    add_synthetic_scenarios(sweep);
+    return sweep.run();
+}
+
 /** Runs one in-process shard of the synthetic sweep over @p ranges. */
 int
 run_shard(const std::string &json_out, std::uint32_t index,
@@ -191,6 +208,14 @@ TEST(Ranges, ParseAndRenderRoundTrip)
     EXPECT_THROW(runner::parse_trial_ranges("banana"), Error);
     EXPECT_THROW(runner::parse_trial_ranges("5-2"), Error);   // descending
     EXPECT_THROW(runner::parse_trial_ranges("0-3,2-5"), Error);  // overlap
+    // strtoull would accept all of these: a negated "-1" wraps to 2^64-1,
+    // blanks and '+' are skipped, and 2^64 saturates.
+    for (const char *text :
+         {"-1", " 1", "+1", "18446744073709551616", "0-+3", "1- 2",
+          " +0- 99999999999999999999999", "0-18446744073709551616"}) {
+        EXPECT_THROW(runner::parse_trial_ranges(text), Error)
+            << "'" << text << "'";
+    }
 }
 
 TEST(Ranges, CompressesIndicesToMinimalRanges)
@@ -258,12 +283,17 @@ TEST(ShardRun, EmptyShardWritesAValidBareJournal)
     EXPECT_EQ(run_shard(out, 3, 4, {}), runner::kExitOk);
 
     // The empty shard still left a header-only journal with the right
-    // identity — evidence it ran, not a hole in the campaign.
-    runner::JournalHeader header = runner::read_journal_header(
-        runner::shard_journal_path(out, 3));
-    EXPECT_EQ(header.sweep, "synthetic");
-    EXPECT_EQ(header.shard_index, 3u);
-    EXPECT_EQ(header.shard_count, 4u);
+    // identity — evidence it ran, not a hole in the campaign. read_journal
+    // validates every header field and throws on any mismatch.
+    runner::JournalHeader header;
+    header.sweep = "synthetic";
+    header.master_seed = 0x5eedULL;
+    header.plan_hash = runner::plan_hash(synthetic_plan());
+    header.shard_index = 3;
+    header.shard_count = 4;
+    const std::string journal = runner::shard_journal_path(out, 3);
+    ASSERT_TRUE(file_exists(journal));
+    EXPECT_TRUE(runner::read_journal(journal, header).empty());
 
     runner::MergeResult m = merge(out, 4);
     ASSERT_TRUE(m.complete());
@@ -286,6 +316,56 @@ TEST(ShardRun, ShardResumesFromItsOwnJournal)
     ASSERT_TRUE(m.complete());
     EXPECT_EQ(m.duplicates, 0u);  // replay, not re-execution
     EXPECT_EQ(json_of(m.sink), direct_json());
+}
+
+// ---------------------------------------------------------------------------
+// One journal path: an in-process run is shard 0 of 1
+// ---------------------------------------------------------------------------
+
+TEST(OneShard, InProcessJournalMergesAsAOneShardCampaign)
+{
+    const std::string out = temp_path("one_shard_merge.json");
+    // An unfinished in-process run (no finish_sweep: the report is never
+    // committed, so the journal stays) is a complete one-shard campaign.
+    const runner::SweepRun run = run_in_process(out);
+    EXPECT_EQ(run.completed, 6u);
+    EXPECT_TRUE(file_exists(runner::shard_journal_path(out, 0)));
+
+    runner::MergeResult m = merge(out, 1);
+    ASSERT_TRUE(m.complete()) << (m.problems.empty() ? ""
+                                                     : m.problems.front());
+    EXPECT_EQ(m.merged, 6u);
+    EXPECT_EQ(json_of(m.sink), direct_json());
+}
+
+TEST(OneShard, InProcessResumeReplaysAOneShardChildJournal)
+{
+    const std::string out = temp_path("one_shard_resume.json");
+    // A one-shard campaign's child journaled trials 0-2, then died.
+    EXPECT_EQ(run_shard(out, 0, 1, {runner::TrialRange{0, 2}}),
+              runner::kExitOk);
+
+    // `run --resume` picks the same journal up and runs only the rest.
+    const runner::SweepRun run = run_in_process(out, /*resume=*/true);
+    EXPECT_EQ(run.resumed, 3u);
+    EXPECT_EQ(run.completed, 6u);
+    EXPECT_EQ(json_of(run.sink), direct_json());
+}
+
+TEST(OneShard, MergeWithAnotherShardCountRefusesAnInProcessJournal)
+{
+    const std::string out = temp_path("one_shard_refused.json");
+    run_in_process(out);
+
+    runner::MergeResult m = merge(out, 2);
+    EXPECT_FALSE(m.complete());
+    bool mentions_assignment = false;
+    for (const std::string &problem : m.problems) {
+        mentions_assignment |=
+            problem.find("different shard assignment") != std::string::npos;
+    }
+    EXPECT_TRUE(mentions_assignment)
+        << (m.problems.empty() ? "" : m.problems.front());
 }
 
 // ---------------------------------------------------------------------------

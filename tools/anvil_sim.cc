@@ -148,8 +148,6 @@ run_shard(const scenario::SweepSpec &spec, runner::CliOptions &cli)
                      "--shard-count\n");
         return runner::kExitUsage;
     }
-    if (!require_file_json_out(cli, "shard"))
-        return runner::kExitUsage;
     if (cli.sweep.shard->ranges.empty()) {
         // No explicit --shard-trials: own shard K's slice of the even
         // partition. Plan size requires a built sweep, so build twice —
@@ -182,15 +180,11 @@ run_supervise(const scenario::SweepFactory &factory,
     runner::Sweep sweep = scenario::make_sweep(spec, cli);
     const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
 
-    runner::SupervisorOptions sup;
+    runner::SupervisorOptions sup = cli.supervisor;
     sup.exe = "/proc/self/exe";
     sup.json_out = cli.sweep.json_out;
     sup.sweep = cli.sweep.name;
     sup.master_seed = cli.sweep.master_seed;
-    sup.shards = cli.supervisor.shards;
-    sup.respawn_budget = cli.supervisor.respawn_budget;
-    sup.lease_timeout_ms = cli.supervisor.lease_timeout_ms;
-    sup.backoff_ms = cli.supervisor.backoff_ms;
 
     // Children re-run this binary's `shard` verb over the same sweep
     // with the same determinism-relevant flags; the supervisor appends
@@ -215,7 +209,7 @@ run_supervise(const scenario::SweepFactory &factory,
         args.push_back("--trial-timeout");
         args.push_back(std::to_string(cli.sweep.trial_timeout));
     }
-    unsigned jobs = cli.supervisor.shard_jobs;
+    unsigned jobs = cli.shard_jobs;
     if (jobs == 0) {
         const unsigned hw =
             std::max(1u, std::thread::hardware_concurrency());
