@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 
@@ -293,22 +292,40 @@ decode_payload(const char *data, std::size_t size)
     return rec;
 }
 
-void
-write_all(int fd, const char *data, std::size_t size,
-          const std::string &path)
+/**
+ * The bytes of @p path, or nullopt when it does not exist.
+ * @throw Error when it exists but cannot be opened or read — never
+ *        mistaken for a missing journal, which a resume would recreate.
+ */
+std::optional<std::string>
+read_file(const std::string &path)
 {
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw Error("journal write failed")
-                .with("path", path)
-                .caused_by(std::strerror(errno));
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        if (errno == ENOENT)
+            return std::nullopt;
+        throw Error("cannot open journal")
+            .with("path", path)
+            .caused_by(std::strerror(errno));
     }
+    std::string data;
+    char chunk[1 << 16];
+    for (;;) {
+        const ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n == 0)
+            break;
+        if (n > 0) {
+            data.append(chunk, static_cast<std::size_t>(n));
+        } else if (errno != EINTR) {
+            const int err = errno;
+            ::close(fd);
+            throw Error("cannot read journal")
+                .with("path", path)
+                .caused_by(std::strerror(err));
+        }
+    }
+    ::close(fd);
+    return data;
 }
 
 /** Frames @p payload (length prefix + checksum) and appends it. */
@@ -325,7 +342,7 @@ append_framed(int fd, std::mutex &mutex, const std::string &payload,
     if (fd < 0)
         return;
     // One contiguous write then fsync: a crash leaves at most one torn
-    // trailing record, which read_journal truncates away on resume.
+    // trailing record, which readers skip and an append-open cuts away.
     write_all(fd, record.bytes.data(), record.bytes.size(), path);
     ::fsync(fd);
 }
@@ -404,6 +421,34 @@ fsync_parent_dir(const std::string &path)
     ::close(fd);
 }
 
+void
+write_all(int fd, const char *data, std::size_t size,
+          const std::string &path)
+{
+    while (size > 0) {
+        const ssize_t n = ::write(fd, data, size);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw Error("write failed")
+                .with("path", path)
+                .caused_by(std::strerror(errno));
+        }
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+}
+
+JournalHeader
+Campaign::header(std::uint32_t index, std::uint32_t count) const
+{
+    return JournalHeader{.sweep = sweep,
+                         .master_seed = master_seed,
+                         .plan_hash = plan_hash(plan),
+                         .shard_index = index,
+                         .shard_count = count};
+}
+
 JournalWriter::~JournalWriter()
 {
     close();
@@ -411,39 +456,42 @@ JournalWriter::~JournalWriter()
 
 void
 JournalWriter::open(const std::string &path, const JournalHeader &header,
-                    bool append)
+                    std::uint64_t resume_at)
 {
     close();
     path_ = path;
     const std::string encoded = encode_header(header);
-    if (append) {
-        fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-        if (fd_ >= 0) {
-            // Existing journal: the header must belong to this sweep
-            // (read_journal validated it in detail; this is the cheap
-            // re-check for the append handle).
-            std::string existing(encoded.size(), '\0');
-            const ssize_t n = ::read(fd_, existing.data(), existing.size());
-            if (n != static_cast<ssize_t>(encoded.size()) ||
-                existing != encoded) {
-                ::close(fd_);
-                fd_ = -1;
-                throw Error("journal header does not match this sweep")
-                    .with("path", path);
-            }
-            if (::lseek(fd_, 0, SEEK_END) < 0) {
-                ::close(fd_);
-                fd_ = -1;
-                throw Error("journal seek failed").with("path", path);
-            }
-            return;
-        }
-        if (errno != ENOENT) {
+    if (resume_at != 0) {
+        fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+        if (fd_ < 0) {
             throw Error("cannot open journal")
                 .with("path", path)
                 .caused_by(std::strerror(errno));
         }
-        // Fall through: nothing to resume from; start a fresh journal.
+        // read_journal() validated this journal; the cheap re-check of
+        // the header bytes guards the handle we actually append through.
+        std::string existing(encoded.size(), '\0');
+        const ssize_t n = ::read(fd_, existing.data(), existing.size());
+        const off_t size = ::lseek(fd_, 0, SEEK_END);
+        if (n != static_cast<ssize_t>(encoded.size()) || existing != encoded ||
+            size < static_cast<off_t>(resume_at)) {
+            close();
+            throw Error("journal header does not match this sweep")
+                .with("path", path);
+        }
+        // New records must follow the intact ones, not a torn tail.
+        if (size > static_cast<off_t>(resume_at)) {
+            if (::ftruncate(fd_, static_cast<off_t>(resume_at)) != 0) {
+                const int err = errno;
+                close();
+                throw Error("cannot truncate torn journal record")
+                    .with("path", path)
+                    .caused_by(std::strerror(err));
+            }
+            std::cerr << "[runner] journal " << path << ": torn record at byte "
+                      << resume_at << " truncated\n";
+        }
+        return;
     }
     fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
                  0644);
@@ -483,62 +531,66 @@ JournalWriter::close()
 }
 
 std::vector<JournalRecord>
-read_journal(const std::string &path, const JournalHeader &expect)
+read_journal(const std::string &path, const Campaign &campaign,
+             std::uint32_t shard_index, std::uint32_t shard_count,
+             std::uint64_t *intact_bytes)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {};  // nothing journaled yet: fresh run
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    if (intact_bytes != nullptr)
+        *intact_bytes = 0;
+    const std::optional<std::string> file = read_file(path);
+    if (!file)
+        return {};  // nothing journaled yet
+    const std::string &data = *file;
+    std::size_t offset = 0;
+    validate_header(decode_header(data, path, offset),
+                    campaign.header(shard_index, shard_count), path);
 
-    std::size_t header_size = 0;
-    const JournalHeader got = decode_header(data, path, header_size);
-    validate_header(got, expect, path);
-
+    // The intact prefix: decoding stops at the first torn, corrupt, or
+    // undecodable record, which stays on disk for the appender to cut.
+    constexpr std::size_t kPrefix =
+        sizeof(std::uint32_t) + sizeof(std::uint64_t);
     std::vector<JournalRecord> records;
-    std::size_t offset = header_size;
-    while (offset < data.size()) {
-        const std::size_t record_start = offset;
-        constexpr std::size_t kPrefix =
-            sizeof(std::uint32_t) + sizeof(std::uint64_t);
-        bool torn = data.size() - offset < kPrefix;
+    while (data.size() - offset >= kPrefix) {
         std::uint32_t size = 0;
         std::uint64_t checksum = 0;
-        if (!torn) {
-            std::memcpy(&size, data.data() + offset, sizeof size);
-            std::memcpy(&checksum, data.data() + offset + sizeof size,
-                        sizeof checksum);
-            torn = data.size() - offset - kPrefix < size;
-        }
-        if (!torn) {
-            const char *payload = data.data() + offset + kPrefix;
-            if (fnv1a_bytes(payload, size) != checksum) {
-                torn = true;  // corrupt: treat like a torn tail
-            } else {
-                try {
-                    if (auto rec = decode_payload(payload, size))
-                        records.push_back(std::move(*rec));
-                } catch (const Error &) {
-                    torn = true;
-                }
-            }
-        }
-        if (torn) {
-            std::cerr << "[runner] journal " << path
-                      << ": torn record at byte " << record_start
-                      << " truncated (recovered " << records.size()
-                      << " intact record(s))\n";
-            if (::truncate(path.c_str(),
-                           static_cast<off_t>(record_start)) != 0) {
-                throw Error("cannot truncate torn journal record")
-                    .with("path", path)
-                    .caused_by(std::strerror(errno));
-            }
+        std::memcpy(&size, data.data() + offset, sizeof size);
+        std::memcpy(&checksum, data.data() + offset + sizeof size,
+                    sizeof checksum);
+        if (data.size() - offset - kPrefix < size)
+            break;  // torn: the length promises more than was written
+        const char *payload = data.data() + offset + kPrefix;
+        if (fnv1a_bytes(payload, size) != checksum)
+            break;  // corrupt: treated like a torn tail
+        try {
+            if (auto rec = decode_payload(payload, size))
+                records.push_back(std::move(*rec));
+        } catch (const Error &) {
             break;
         }
         offset += kPrefix + size;
     }
+    if (offset < data.size()) {
+        std::cerr << "[runner] journal " << path << ": torn record at byte "
+                  << offset << " ignored (" << records.size()
+                  << " intact record(s) before it)\n";
+    }
+
+    const std::vector<TrialSpec> &plan = campaign.plan;
+    for (const JournalRecord &rec : records) {
+        const std::uint64_t i = rec.spec.global_index;
+        if (i >= plan.size() || plan[i].scenario != rec.spec.scenario ||
+            plan[i].trial != rec.spec.trial ||
+            plan[i].seed != rec.spec.seed) {
+            throw Error("journal record does not match the sweep plan "
+                        "(the sweep definition or flags changed); delete "
+                        "the journal or rerun with the original flags")
+                .with("path", path)
+                .with("record_trial", i)
+                .with("record_scenario", rec.spec.scenario);
+        }
+    }
+    if (intact_bytes != nullptr)
+        *intact_bytes = offset;
     return records;
 }
 

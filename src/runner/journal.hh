@@ -21,14 +21,20 @@
  * shard that is slowly working from one that is wedged; an in-process
  * run writes none.
  *
- * Recovery rules:
- *   - a torn trailing record (partial write at the kill point) is
- *     truncated away, never fatal;
- *   - a header that does not match the resuming sweep (different name,
- *     master seed, plan hash, or shard identity) refuses the resume with
- *     a structured error;
- *   - a record that contradicts the sweep plan (seed mismatch at its
- *     global index — the sweep definition changed) likewise refuses.
+ * One reader, read_journal(), serves `run --resume`, the supervisor and
+ * the merge, and decodes each journal once. Recovery rules:
+ *   - a torn trailing record (partial write at the kill point) ends the
+ *     intact prefix, never fatal. Reading never writes: only the
+ *     appender (a JournalWriter resumed at read_journal()'s intact
+ *     length) cuts the torn tail away, so `merge --check` and the
+ *     supervisor are read-only;
+ *   - a journal that exists but cannot be read is an error, never
+ *     taken for a missing one;
+ *   - a header that does not match the campaign (different name, master
+ *     seed, plan hash, or shard identity) refuses with a structured
+ *     error;
+ *   - a record that contradicts the plan (identity or seed mismatch at
+ *     its global index — the sweep definition changed) likewise refuses.
  *
  * The format is host-endian and process-local (a checkpoint, not an
  * interchange format); the version byte guards against record-layout
@@ -62,6 +68,20 @@ struct JournalHeader {
     std::uint32_t shard_count = 1;
 };
 
+/**
+ * The campaign a journal belongs to: the sweep's identity and its full
+ * trial plan (Sweep::campaign()). Every journal header is built here.
+ */
+struct Campaign {
+    std::string sweep;
+    std::uint64_t master_seed = 0;
+    /// Every trial of the sweep, indexed by global index.
+    std::vector<TrialSpec> plan;
+
+    /** The header of shard @p index of a @p count-shard campaign. */
+    JournalHeader header(std::uint32_t index, std::uint32_t count) const;
+};
+
 /** One replayed journal entry: the trial's identity and its outcome. */
 struct JournalRecord {
     TrialSpec spec;
@@ -84,14 +104,18 @@ class JournalWriter
 
     /**
      * Opens @p path for journaling the sweep identified by @p header.
-     * Fresh runs truncate, write a new header, and fsync the parent
-     * directory (a journal that vanishes on power loss is no journal);
-     * resuming runs (@p append) keep existing records and validate the
-     * header first.
-     * @throw Error on I/O failure or an append-mode header mismatch.
+     * With @p resume_at 0 the journal starts fresh: truncate, write a new
+     * header, and fsync the parent directory (a journal that vanishes on
+     * power loss is no journal). Otherwise @p resume_at is the intact
+     * length read_journal() reported for the existing journal: its
+     * header is re-checked, a torn tail past that length is cut — the
+     * only place a journal is ever shortened — and new records follow
+     * the intact ones.
+     * @throw Error on I/O failure, or a resumed journal whose header
+     *        does not match or that is shorter than @p resume_at.
      */
     void open(const std::string &path, const JournalHeader &header,
-              bool append);
+              std::uint64_t resume_at = 0);
 
     bool is_open() const { return fd_ >= 0; }
 
@@ -115,14 +139,21 @@ class JournalWriter
 };
 
 /**
- * Reads every intact trial record of @p path (lease records are
- * skipped), validating the header against @p expect: sweep name, master
- * seed, plan hash, and shard identity. A torn or corrupt tail is
- * truncated from the file (recovery, reported on stderr), not an error.
- * @throw Error when the file exists but belongs to a different sweep.
+ * Reads every intact trial record (lease records are skipped) of the
+ * journal at @p path, which must be shard @p shard_index of
+ * @p shard_count of @p campaign. A torn tail ends the records and is
+ * left on disk; a missing file has none. @p intact_bytes, when given,
+ * receives the length of the header plus the intact records (0 when
+ * the file is missing): the JournalWriter::open() argument that resumes
+ * the journal.
+ * @throw Error when the file exists but cannot be read, or when the
+ *        header or a record does not match @p campaign.
  */
 std::vector<JournalRecord> read_journal(const std::string &path,
-                                        const JournalHeader &expect);
+                                        const Campaign &campaign,
+                                        std::uint32_t shard_index,
+                                        std::uint32_t shard_count,
+                                        std::uint64_t *intact_bytes = nullptr);
 
 /**
  * Canonical encoding of one trial record's payload. Two records encode
@@ -144,6 +175,14 @@ std::string shard_journal_path(const std::string &json_out,
  * whose data writes all succeeded).
  */
 void fsync_parent_dir(const std::string &path);
+
+/**
+ * Writes all of @p data to @p fd, retrying short and interrupted writes
+ * (journal records and report commits alike).
+ * @throw Error naming @p path when a write fails.
+ */
+void write_all(int fd, const char *data, std::size_t size,
+               const std::string &path);
 
 }  // namespace anvil::runner
 

@@ -1,7 +1,5 @@
 #include "runner/shard.hh"
 
-#include <cstdio>
-#include <map>
 #include <optional>
 
 #include "common/text.hh"
@@ -112,8 +110,7 @@ compress_indices(const std::vector<std::uint64_t> &sorted_indices)
 }
 
 MergeResult
-merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
-             std::uint64_t master_seed, const MergeOptions &options)
+merge_shards(const Campaign &campaign, const MergeOptions &options)
 {
     MergeResult merge;
     if (options.shard_count == 0) {
@@ -121,53 +118,35 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
         return merge;
     }
 
-    JournalHeader expect;
-    expect.sweep = sweep;
-    expect.master_seed = master_seed;
-    expect.plan_hash = plan_hash(plan);
-
-    struct Claimed {
-        JournalRecord record;
-        std::string encoded;  ///< canonical payload, for divergence checks
+    // The first claim of each plan trial: its outcome goes into the run,
+    // its canonical payload stays for the divergence check.
+    const std::vector<TrialSpec> &plan = campaign.plan;
+    merge.run.outcomes.resize(plan.size());
+    struct Claim {
+        std::string encoded;
         std::uint32_t shard;
     };
-    std::map<std::uint64_t, Claimed> claimed;  // global index -> record
+    std::vector<std::optional<Claim>> claimed(plan.size());
 
     for (std::uint32_t k = 0; k < options.shard_count; ++k) {
-        const std::string path =
-            shard_journal_path(options.json_out, k);
-        expect.shard_index = k;
-        expect.shard_count = options.shard_count;
+        const std::string path = shard_journal_path(options.json_out, k);
         std::vector<JournalRecord> records;
         try {
-            records = read_journal(path, expect);
+            records = read_journal(path, campaign, k, options.shard_count);
         } catch (const Error &e) {
             merge.problems.push_back(shard_label(k) + ": " + e.what());
             continue;
         }
-        // read_journal returns empty both for "no file" and "no records";
-        // distinguish them for the coverage report.
         std::uint64_t kept = 0, dups = 0;
         for (JournalRecord &rec : records) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i >= plan.size() || plan[i].scenario != rec.spec.scenario ||
-                plan[i].trial != rec.spec.trial ||
-                plan[i].seed != rec.spec.seed) {
-                merge.problems.push_back(
-                    shard_label(k) + ": record for trial #" +
-                    std::to_string(i) +
-                    " does not match the sweep plan (" + path + ")");
-                continue;
-            }
             std::string encoded =
                 encode_journal_payload(rec.spec, rec.outcome);
-            const auto it = claimed.find(i);
-            if (it != claimed.end()) {
-                if (it->second.encoded != encoded) {
+            if (const std::optional<Claim> &first = claimed[i]) {
+                if (first->encoded != encoded) {
                     merge.problems.push_back(
                         shard_label(k) + ": trial #" + std::to_string(i) +
-                        " diverges from " +
-                        shard_label(it->second.shard) +
+                        " diverges from " + shard_label(first->shard) +
                         "'s record — the shards did not run the same "
                         "deterministic computation");
                 } else {
@@ -177,14 +156,14 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
                         merge.problems.push_back(
                             shard_label(k) + ": trial #" +
                             std::to_string(i) + " also claimed by " +
-                            shard_label(it->second.shard) +
+                            shard_label(first->shard) +
                             " (identical record; requeue overlap)");
                     }
                 }
                 continue;
             }
-            claimed.emplace(
-                i, Claimed{std::move(rec), std::move(encoded), k});
+            claimed[i] = Claim{std::move(encoded), k};
+            merge.run.outcomes[i] = std::move(rec.outcome);
             ++kept;
         }
         merge.coverage.push_back(
@@ -198,7 +177,7 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
     // Completeness: every plan trial must be durable somewhere.
     std::vector<std::uint64_t> missing;
     for (std::uint64_t i = 0; i < plan.size(); ++i) {
-        if (claimed.find(i) == claimed.end())
+        if (!claimed[i])
             missing.push_back(i);
     }
     if (!missing.empty()) {
@@ -213,25 +192,10 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
     if (!merge.complete())
         return merge;
 
-    // Fold in plan order — the exact loop a single-process run ends
-    // with, which is what makes the merged JSON byte-identical.
-    merge.sink.set_meta(sweep, master_seed);
-    for (std::uint64_t i = 0; i < plan.size(); ++i) {
-        const Claimed &c = claimed.at(i);
-        if (c.record.outcome.failed())
-            ++merge.failed;
-        merge.sink.add(plan[i], c.record.outcome);
-        ++merge.merged;
-    }
+    fold_in_plan_order(campaign, std::vector<bool>(plan.size(), true),
+                       merge.run);
+    merge.run.journals = options.shard_count;
     return merge;
-}
-
-void
-remove_shard_journals(const std::string &json_out,
-                      std::uint32_t shard_count)
-{
-    for (std::uint32_t k = 0; k < shard_count; ++k)
-        std::remove(shard_journal_path(json_out, k).c_str());
 }
 
 }  // namespace anvil::runner

@@ -12,16 +12,20 @@
  * shards ran, how often they crashed, or which surviving shard picked up
  * a dead one's requeued trials.
  *
- * Merge rules:
+ * The merge reads journals with read_journal(), folds them with
+ * fold_in_plan_order() and leaves the commit to finish_sweep(), which
+ * retires all N journals. Merge rules:
  *   - every journal's header must match the sweep (name, master seed,
- *     plan hash) and its claimed shard identity;
+ *     plan hash) and its claimed shard identity, and every record the
+ *     plan trial at its index;
  *   - a trial recorded by two shards (a requeue race: the original
  *     owner's record survived *and* the work was reassigned) is accepted
  *     when both records encode identically — determinism guarantees they
  *     do — and refused as divergent otherwise;
  *   - a plan trial held by no journal makes the merge incomplete: no
  *     report is written (a partial report that looks complete is worse
- *     than no report), and the diagnostics name the missing ranges.
+ *     than no report), and the diagnostics name the missing ranges;
+ *   - merging never writes a journal, even one with a torn tail.
  */
 #ifndef ANVIL_RUNNER_SHARD_HH
 #define ANVIL_RUNNER_SHARD_HH
@@ -30,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 
 namespace anvil::runner {
@@ -72,10 +75,10 @@ struct MergeOptions {
 
 /** What a merge found and (when clean) produced. */
 struct MergeResult {
-    ResultSink sink;                 ///< valid only when complete()
-    std::uint64_t merged = 0;        ///< distinct trials folded in
+    /// The folded campaign (run.journals = shard count); valid only
+    /// when complete().
+    SweepRun run;
     std::uint64_t duplicates = 0;    ///< identical records dropped
-    std::uint64_t failed = 0;        ///< merged trials that had failed
     /// Human-readable, per-shard diagnostics; empty = mergeable.
     std::vector<std::string> problems;
     /// "shard K: N trial record(s) [+ M duplicate(s)]" coverage lines.
@@ -85,19 +88,13 @@ struct MergeResult {
 };
 
 /**
- * Reads every shard journal of the campaign and folds the records into
- * one canonical sink in plan order. Never throws for per-journal
+ * Reads every shard journal of @p campaign and folds the records into
+ * one canonical run in plan order. Never throws for per-journal
  * problems — they become MergeResult::problems so a validator can show
  * all of them at once.
  */
-MergeResult merge_shards(const std::vector<TrialSpec> &plan,
-                         const std::string &sweep,
-                         std::uint64_t master_seed,
+MergeResult merge_shards(const Campaign &campaign,
                          const MergeOptions &options);
-
-/** Removes every shard journal of the campaign (after a commit). */
-void remove_shard_journals(const std::string &json_out,
-                           std::uint32_t shard_count);
 
 }  // namespace anvil::runner
 

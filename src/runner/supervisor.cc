@@ -109,9 +109,9 @@ backoff_delay_ms(std::uint64_t base, unsigned attempt)
 }
 
 SupervisorReport
-supervise(const std::vector<TrialSpec> &plan,
-          const SupervisorOptions &options)
+supervise(const Campaign &campaign, const SupervisorOptions &options)
 {
+    const std::vector<TrialSpec> &plan = campaign.plan;
     if (options.shards == 0)
         throw Error("cannot supervise a campaign with zero shards");
     const std::uint64_t lease_interval =
@@ -121,24 +121,18 @@ supervise(const std::vector<TrialSpec> &plan,
 
     SupervisorReport report;
     std::vector<bool> done(plan.size(), false);
-    const std::uint64_t digest = plan_hash(plan);
 
     // Absorb whatever previous (possibly crashed) campaigns left behind:
     // every durable record in a shard journal is a trial nobody needs to
     // run again. A journal from a *different* campaign is a hard error —
     // silently mixing sweeps would corrupt the merge.
     const auto absorb_journal = [&](std::uint32_t k) {
-        JournalHeader expect;
-        expect.sweep = options.sweep;
-        expect.master_seed = options.master_seed;
-        expect.plan_hash = digest;
-        expect.shard_index = k;
-        expect.shard_count = options.shards;
         std::uint64_t fresh = 0;
         for (const JournalRecord &rec :
-             read_journal(shard_journal_path(options.json_out, k), expect)) {
+             read_journal(shard_journal_path(options.json_out, k), campaign,
+                          k, options.shards)) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i < done.size() && !done[i]) {
+            if (!done[i]) {
                 done[i] = true;
                 ++fresh;
             }

@@ -8,8 +8,8 @@
  *
  *   - **Crash detection.** A child that exits abnormally (SIGKILL, OOM,
  *     SIGABRT, a real bug) is detected by waitpid; its journal — every
- *     completed trial fsync'd, the torn tail truncated by PR 5's
- *     recovery — tells the supervisor exactly which trials are durable.
+ *     completed trial fsync'd, a torn tail skipped by the reader — tells
+ *     the supervisor exactly which trials are durable.
  *   - **Hang detection.** A healthy shard's journal grows continuously
  *     (trial records, plus lease heartbeats between them). A shard whose
  *     journal stops growing past the lease timeout is declared wedged
@@ -51,9 +51,6 @@ struct SupervisorOptions {
     std::vector<std::string> child_args;
     /// Campaign JSON destination; shard journals live beside it.
     std::string json_out;
-    /// Sweep identity (shard-journal header validation).
-    std::string sweep;
-    std::uint64_t master_seed = 0;
     std::uint32_t shards = 4;
     /// Process deaths tolerated per slot before it is retired and its
     /// remaining trials are requeued onto surviving slots.
@@ -86,14 +83,15 @@ struct SupervisorReport {
 std::uint64_t backoff_delay_ms(std::uint64_t base, unsigned attempt);
 
 /**
- * Runs the campaign over @p plan to durable completion (or until every
- * slot is retired / the operator shuts it down). Purely a process-level
- * loop: the trials themselves run in the children, and the caller is
- * responsible for the merge afterwards.
+ * Runs @p campaign to durable completion (or until every slot is
+ * retired / the operator shuts it down). Purely a process-level loop:
+ * the trials themselves run in the children, and the caller is
+ * responsible for the merge afterwards. Reads shard journals, never
+ * writes them (a respawned child cuts its own torn tail).
  * @throw Error for configuration-level faults (an existing shard
  *        journal from a different sweep, an unspawnable child binary).
  */
-SupervisorReport supervise(const std::vector<TrialSpec> &plan,
+SupervisorReport supervise(const Campaign &campaign,
                            const SupervisorOptions &options);
 
 }  // namespace anvil::runner

@@ -11,13 +11,11 @@
 #include <limits>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "runner/journal.hh"
-#include "runner/shard.hh"
 #include "runner/thread_pool.hh"
 
 namespace anvil::runner {
@@ -30,14 +28,6 @@ shutdown_signal_handler(int)
 {
     // Async-signal-safe: a lock-free atomic store and nothing else.
     g_shutdown.store(true, std::memory_order_relaxed);
-}
-
-/** True when trial outcomes should be journaled for these options. */
-bool
-journaling_enabled(const SweepOptions &options)
-{
-    return !options.replay_trial && !options.json_out.empty() &&
-           options.json_out != "-";
 }
 
 /**
@@ -194,106 +184,83 @@ Sweep::add_scenario(std::string scenario, std::uint64_t trials, TrialFn fn)
         Scenario{std::move(scenario), trials, std::move(fn)});
 }
 
-std::vector<Sweep::Pending>
-Sweep::plan() const
+Campaign
+Sweep::campaign() const
 {
-    std::vector<Pending> pending;
-    std::uint64_t global = 0;
+    Campaign campaign{.sweep = options_.name,
+                      .master_seed = options_.master_seed,
+                      .plan = {}};
     for (const Scenario &s : scenarios_) {
-        for (std::uint64_t t = 0; t < s.trials; ++t, ++global) {
+        for (std::uint64_t t = 0; t < s.trials; ++t) {
             TrialSpec spec;
             spec.scenario = s.name;
             spec.trial = t;
             spec.seed = trial_seed(options_.master_seed, s.name, t);
-            spec.global_index = global;
-            pending.push_back(Pending{std::move(spec), &s.fn});
+            spec.global_index = campaign.plan.size();
+            campaign.plan.push_back(std::move(spec));
         }
     }
-    return pending;
+    return campaign;
 }
 
 std::vector<TrialSpec>
 Sweep::plan_specs() const
 {
-    std::vector<TrialSpec> specs;
-    for (const Pending &p : plan())
-        specs.push_back(p.spec);
-    return specs;
-}
-
-std::uint64_t
-Sweep::plan_digest() const
-{
-    return plan_hash(plan_specs());
+    return campaign().plan;
 }
 
 SweepRun
 Sweep::run()
 {
-    std::vector<Pending> pending = plan();
+    const Campaign campaign = this->campaign();
+    const std::vector<TrialSpec> &plan = campaign.plan;
+    std::vector<const TrialFn *> fns;
+    for (const Scenario &s : scenarios_)
+        fns.insert(fns.end(), s.trials, &s.fn);
 
-    if (options_.replay_trial) {
-        const std::uint64_t want = *options_.replay_trial;
-        const std::size_t total = pending.size();
-        std::vector<Pending> one;
-        for (Pending &p : pending) {
-            if (p.spec.global_index == want)
-                one.push_back(std::move(p));
-        }
-        pending = std::move(one);
-        if (pending.empty()) {
-            std::cerr << "[runner] " << options_.name << ": --replay-trial "
-                      << want << " is out of range (sweep has " << total
-                      << " trial(s), indices 0.." << (total ? total - 1 : 0)
-                      << "); nothing to run\n";
-        }
+    if (options_.replay_trial && *options_.replay_trial >= plan.size()) {
+        throw Error("--replay-trial is out of range")
+            .with("sweep", options_.name)
+            .with("replay_trial", *options_.replay_trial)
+            .with("trials", plan.size());
     }
-
-    SweepRun run;
-    run.outcomes.resize(pending.size());
-    std::vector<bool> replayed(pending.size(), false);
 
     // An in-process run is shard 0 of a one-shard campaign that owns every
     // trial and beats no lease: one journal name, one header rule, and
-    // one resume path serve both. `mine[i]` is the ownership mask.
+    // one resume path serve both. `mine[i]` is the ownership mask; a
+    // replay owns its one trial.
     const ShardAssignment shard = options_.shard.value_or(ShardAssignment{
         .index = 0,
         .count = 1,
         .ranges = {TrialRange{0, std::numeric_limits<std::uint64_t>::max()}},
         .lease_interval_ms = 0});
-    std::vector<bool> mine(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        mine[i] = shard.owns(pending[i].spec.global_index);
+    std::vector<bool> mine(plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        mine[i] = shard.owns(i) &&
+                  (!options_.replay_trial || i == *options_.replay_trial);
+    }
 
-    // Checkpoint/resume: replay the journal, validate each record against
-    // the plan (the sweep definition must not have changed under us), and
-    // pre-fill those slots so only the remainder executes. A shard child
-    // always resumes from its own journal — that is how a respawned child
-    // picks up where its predecessor crashed.
-    const bool journaling = journaling_enabled(options_);
+    SweepRun run;
+    run.outcomes.resize(plan.size());
+    std::vector<bool> replayed(plan.size(), false);
+
+    // Checkpoint/resume: replay the journal — read_journal checks each
+    // record against the plan — and pre-fill those slots so only the
+    // remainder executes, then append after its intact records (cutting
+    // a torn tail). A shard child always resumes from its own journal —
+    // that is how a respawned child picks up where its predecessor
+    // crashed.
+    const bool journaling = !options_.replay_trial &&
+                            !options_.json_out.empty() &&
+                            options_.json_out != "-";
     const bool resuming = options_.resume || options_.shard.has_value();
-    JournalHeader header;
-    header.sweep = options_.name;
-    header.master_seed = options_.master_seed;
-    header.plan_hash = plan_digest();
-    header.shard_index = shard.index;
-    header.shard_count = shard.count;
     const std::string jpath =
         shard_journal_path(options_.json_out, shard.index);
-    if (resuming && journaling) {
-        for (JournalRecord &rec : read_journal(jpath, header)) {
+    std::uint64_t intact = 0;
+    if (journaling && resuming) {
+        for (JournalRecord &rec : read_journal(jpath, campaign, shard.index,
+                                               shard.count, &intact)) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i >= pending.size() ||
-                pending[i].spec.scenario != rec.spec.scenario ||
-                pending[i].spec.trial != rec.spec.trial ||
-                pending[i].spec.seed != rec.spec.seed) {
-                throw Error("journal record does not match the sweep plan "
-                            "(the sweep definition or flags changed); "
-                            "delete the journal or rerun without --resume")
-                    .with("path", jpath)
-                    .with("record_trial", rec.spec.global_index)
-                    .with("record_scenario", rec.spec.scenario);
-            }
             run.outcomes[i] = std::move(rec.outcome);
             replayed[i] = true;
             // Records outside this shard's assignment (an earlier
@@ -303,11 +270,11 @@ Sweep::run()
                 ++run.resumed;
         }
     }
-
     JournalWriter journal;
     if (journaling) {
         try {
-            journal.open(jpath, header, /*append=*/resuming);
+            journal.open(jpath, campaign.header(shard.index, shard.count),
+                         intact);
         } catch (const Error &e) {
             // A journal we cannot resume from is a configuration fault,
             // and a shard without a journal would do work the merge can
@@ -321,6 +288,7 @@ Sweep::run()
                       << ": running without a checkpoint journal: "
                       << e.what() << "\n";
         }
+        run.journals = 1;
     }
 
     const unsigned jobs =
@@ -343,13 +311,12 @@ Sweep::run()
             run.outcomes[i].status = TrialStatus::kSkipped;
             return;
         }
-        run.outcomes[i] =
-            run_one(pending[i].spec, *pending[i].fn, options_, faults);
+        run.outcomes[i] = run_one(plan[i], *fns[i], options_, faults);
         if (journaling) {
             // append() no-ops (under its lock) once the journal is
             // closed — is_open() here would race with the close below.
             try {
-                journal.append(pending[i].spec, run.outcomes[i]);
+                journal.append(plan[i], run.outcomes[i]);
             } catch (const Error &e) {
                 // Journal I/O died mid-run (disk full, volume gone).
                 // Checkpointing is best-effort: keep the sweep alive,
@@ -364,14 +331,14 @@ Sweep::run()
     };
 
     const auto wall_start = std::chrono::steady_clock::now();
-    if (jobs <= 1 || pending.size() <= 1) {
-        for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (jobs <= 1 || plan.size() <= 1) {
+        for (std::size_t i = 0; i < plan.size(); ++i) {
             if (mine[i] && !replayed[i])
                 execute(i);
         }
     } else {
         ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < pending.size(); ++i) {
+        for (std::size_t i = 0; i < plan.size(); ++i) {
             // Each task writes only its own pre-allocated slot;
             // wait_idle() publishes all slots to this thread.
             if (mine[i] && !replayed[i])
@@ -384,41 +351,9 @@ Sweep::run()
                            .count();
     journal.close();
 
-    // Aggregate strictly in plan order: output is independent of the
-    // completion order above, and of which trials were journal replays.
     // A shard aggregates (and reports) only its assigned trials — its
     // durable output is the journal, and the merge owns the JSON.
-    run.sink.set_meta(options_.name, options_.master_seed);
-    std::uint64_t assigned = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!mine[i])
-            continue;
-        ++assigned;
-        const TrialSpec &spec = pending[i].spec;
-        const TrialOutcome &outcome = run.outcomes[i];
-        switch (outcome.status) {
-          case TrialStatus::kSkipped:
-              ++run.skipped;
-              continue;
-          case TrialStatus::kOk:
-              ++run.completed;
-              break;
-          case TrialStatus::kFailed:
-          case TrialStatus::kTimedOut:
-              ++run.failed;
-              std::cerr << "[runner] " << options_.name << " trial #"
-                        << spec.global_index << " (" << spec.scenario
-                        << "/" << spec.trial << ") "
-                        << to_string(outcome.status);
-              if (outcome.attempts > 1)
-                  std::cerr << " after " << outcome.attempts << " attempts";
-              std::cerr << ": " << outcome.error
-                        << " (replay with --jobs 1 --replay-trial "
-                        << spec.global_index << ")\n";
-              break;
-        }
-        run.sink.add(spec, outcome);
-    }
+    const std::uint64_t assigned = fold_in_plan_order(campaign, mine, run);
     std::cerr << "[runner] " << options_.name;
     if (options_.shard)
         std::cerr << " shard " << shard.index << "/" << shard.count;
@@ -432,6 +367,44 @@ Sweep::run()
         std::cerr << ", " << run.skipped << " skipped (shutdown drain)";
     std::cerr << "\n";
     return run;
+}
+
+std::uint64_t
+fold_in_plan_order(const Campaign &campaign, const std::vector<bool> &mine,
+                   SweepRun &run)
+{
+    run.sink.set_meta(campaign.sweep, campaign.master_seed);
+    std::uint64_t folded = 0;
+    for (std::size_t i = 0; i < campaign.plan.size(); ++i) {
+        if (!mine[i])
+            continue;
+        ++folded;
+        const TrialSpec &spec = campaign.plan[i];
+        const TrialOutcome &outcome = run.outcomes[i];
+        switch (outcome.status) {
+          case TrialStatus::kSkipped:
+              ++run.skipped;
+              continue;
+          case TrialStatus::kOk:
+              ++run.completed;
+              break;
+          case TrialStatus::kFailed:
+          case TrialStatus::kTimedOut:
+              ++run.failed;
+              std::cerr << "[runner] " << campaign.sweep << " trial #"
+                        << spec.global_index << " (" << spec.scenario
+                        << "/" << spec.trial << ") "
+                        << to_string(outcome.status);
+              if (outcome.attempts > 1)
+                  std::cerr << " after " << outcome.attempts << " attempts";
+              std::cerr << ": " << outcome.error
+                        << " (replay with --jobs 1 --replay-trial "
+                        << spec.global_index << ")\n";
+              break;
+        }
+        run.sink.add(spec, outcome);
+    }
+    return folded;
 }
 
 namespace {
@@ -452,23 +425,22 @@ atomic_write_file(const std::string &path, const std::string &data)
                   << " for writing: " << std::strerror(errno) << "\n";
         return false;
     }
-    const char *p = data.data();
-    std::size_t left = data.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, p, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            std::cerr << "[runner] error writing " << tmp << ": "
-                      << std::strerror(errno) << "\n";
-            ::close(fd);
-            std::remove(tmp.c_str());
-            return false;
+    try {
+        write_all(fd, data.data(), data.size(), tmp);
+        // An unsynced temp file renamed over the report could commit
+        // garbage — and the journals are deleted next.
+        if (::fsync(fd) != 0) {
+            throw Error("fsync failed")
+                .with("path", tmp)
+                .caused_by(std::strerror(errno));
         }
-        p += n;
-        left -= static_cast<std::size_t>(n);
+    } catch (const Error &e) {
+        std::cerr << "[runner] error writing " << tmp << ": " << e.what()
+                  << "\n";
+        ::close(fd);
+        std::remove(tmp.c_str());
+        return false;
     }
-    ::fsync(fd);
     ::close(fd);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::cerr << "[runner] cannot rename " << tmp << " to " << path
@@ -502,11 +474,10 @@ write_json_output(const ResultSink &sink, const SweepOptions &options)
 int
 finish_sweep(const SweepRun &run, const SweepOptions &options)
 {
-    const bool journaling = journaling_enabled(options);
     if (!run.complete()) {
         std::cerr << "[runner] " << options.name << ": interrupted — "
                   << run.skipped << " trial(s) not run";
-        if (journaling) {
+        if (run.journals != 0 && !options.shard) {
             std::cerr << "; resume with --resume (journal: "
                       << shard_journal_path(options.json_out, 0) << ")";
         }
@@ -514,19 +485,14 @@ finish_sweep(const SweepRun &run, const SweepOptions &options)
         // No JSON: a partial report must never overwrite a committed one.
         return kExitPartial;
     }
-    if (!write_json_output(run.sink, options))
-        return kExitJsonError;
-    // The report is durably committed; the checkpoint is now redundant.
-    if (journaling)
-        remove_shard_journals(options.json_out, 1);
-    return run.failed != 0 ? kExitTrialFailure : kExitOk;
-}
-
-int
-finish_shard(const SweepRun &run)
-{
-    if (!run.complete())
-        return kExitPartial;
+    if (!options.shard) {
+        if (!write_json_output(run.sink, options))
+            return kExitJsonError;
+        // The report is durably committed; the checkpoints are now
+        // redundant.
+        for (std::uint32_t k = 0; k < run.journals; ++k)
+            std::remove(shard_journal_path(options.json_out, k).c_str());
+    }
     return run.failed != 0 ? kExitTrialFailure : kExitOk;
 }
 

@@ -9,6 +9,10 @@
  * in trial order — making the aggregate output invariant under the
  * number of worker threads and their scheduling.
  *
+ * An in-process run, a shard child and a merge of shard journals
+ * (shard.hh) end alike: fold_in_plan_order() is the one report fold and
+ * finish_sweep() the one exit-code mapping and report commit.
+ *
  * Fault tolerance, end to end:
  *   - every trial runs inside a structured error boundary: an escaped
  *     exception (or watchdog timeout) becomes a TrialOutcome, recorded in
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "runner/fault.hh"
+#include "runner/journal.hh"
 #include "runner/result_sink.hh"
 #include "runner/trial.hh"
 
@@ -87,7 +92,8 @@ struct SweepOptions {
     unsigned jobs = 0;
     /// Root of the per-trial seed derivation chain.
     std::uint64_t master_seed = 0x5eedULL;
-    /// When set, run only this global trial index, serially.
+    /// When set, run only this global trial index, serially (an index
+    /// past the plan is a configuration error).
     std::optional<std::uint64_t> replay_trial;
     /// JSON report destination: empty = none, "-" = stdout, else a path.
     std::string json_out;
@@ -110,7 +116,9 @@ using TrialFn = std::function<TrialResult(const TrialContext &)>;
 /** Everything one Sweep::run() produced. */
 struct SweepRun {
     ResultSink sink;
-    /// Per-trial outcomes in plan order (replayed, executed, or skipped).
+    /// One outcome per plan trial, indexed by global index (replayed,
+    /// executed, or skipped). Slots outside the run's trials — another
+    /// shard's, or all but the --replay-trial one — stay default.
     std::vector<TrialOutcome> outcomes;
     std::uint64_t completed = 0;  ///< trials that ended ok
     std::uint64_t failed = 0;     ///< failed + timed-out trials
@@ -118,6 +126,9 @@ struct SweepRun {
     std::uint64_t resumed = 0;    ///< replayed from the journal
     double wall_seconds = 0.0;
     unsigned jobs_used = 0;
+    /// Shard journals `<json-out>.shard-0..N-1` the commit retires: 1
+    /// for a journaled run, N for a merge, 0 when nothing was journaled.
+    std::uint32_t journals = 0;
 
     /** False when a shutdown drain left trials unrun (resumable). */
     bool complete() const { return skipped == 0; }
@@ -141,34 +152,26 @@ class Sweep
      * per-trial outcomes. Exceptions escaping a trial body are captured
      * as that trial's outcome, never propagated (one bad trial must not
      * sink a sweep).
-     * @throw Error only for configuration-level faults: a --resume
-     *        journal that belongs to a different sweep, or journal I/O
-     *        failure.
+     * @throw Error only for configuration-level faults: a --replay-trial
+     *        index past the plan, a --resume journal that belongs to a
+     *        different sweep, or journal I/O failure.
      */
     SweepRun run();
 
     const SweepOptions &options() const { return options_; }
 
     /**
-     * The full deterministic trial plan (every scenario × trial, seeds
-     * assigned) — what a supervisor partitions into shards and a merge
-     * validates journals against. Independent of shard assignment and
-     * replay filtering.
+     * The sweep's name, master seed and full deterministic trial plan
+     * (every scenario × trial, seeds assigned) — what a supervisor
+     * partitions into shards and every journal is checked against.
+     * Independent of shard assignment and replay filtering.
      */
+    Campaign campaign() const;
+
+    /** campaign().plan. */
     std::vector<TrialSpec> plan_specs() const;
 
-    /** plan_hash() over plan_specs(). */
-    std::uint64_t plan_digest() const;
-
   private:
-    struct Pending {
-        TrialSpec spec;
-        const TrialFn *fn;
-    };
-
-    /** All trials in deterministic order, seeds assigned. */
-    std::vector<Pending> plan() const;
-
     struct Scenario {
         std::string name;
         std::uint64_t trials;
@@ -228,23 +231,26 @@ enum ExitCode : int {
 bool write_json_output(const ResultSink &sink, const SweepOptions &options);
 
 /**
- * Finishes a sweep run: writes the JSON report (complete runs only),
- * removes the journal once the report is durably committed, and maps the
- * run's state to its ExitCode — kExitPartial for an interrupted run
- * (journal kept for --resume), kExitTrialFailure when any trial failed,
- * kExitJsonError when the report could not be written, else kExitOk.
+ * Aggregates @p run.outcomes of the plan trials @p mine marks into
+ * @p run's sink and counters, strictly in plan order — so the report is
+ * the same whether an outcome was executed, replayed from a journal, or
+ * merged from a shard's. Failed trials are reported on stderr.
+ * @return the number of trials folded.
  */
-int finish_sweep(const SweepRun &run, const SweepOptions &options);
+std::uint64_t fold_in_plan_order(const Campaign &campaign,
+                                 const std::vector<bool> &mine,
+                                 SweepRun &run);
 
 /**
- * Finishes a *shard* run: no JSON report (the supervisor's merge folds
- * the shard journals into the canonical one), just the exit-code
- * mapping — kExitPartial when a drain left assigned trials unrun,
- * kExitTrialFailure when any assigned trial failed, else kExitOk.
- * Either way every completed trial is already durable in the shard
- * journal.
+ * Finishes a run (in-process, shard, or merged) and maps its state to
+ * its ExitCode: kExitPartial for an interrupted run (journal kept for
+ * --resume), kExitJsonError when the report could not be written,
+ * kExitTrialFailure when any trial failed, else kExitOk. A complete
+ * run commits its JSON report and then retires its run.journals shard
+ * journals — except a shard (@p options.shard set), whose durable
+ * output is its journal: the merge commits the report.
  */
-int finish_shard(const SweepRun &run);
+int finish_sweep(const SweepRun &run, const SweepOptions &options);
 
 }  // namespace anvil::runner
 

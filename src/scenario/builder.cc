@@ -524,14 +524,17 @@ make_sweep(const SweepSpec &spec, runner::CliOptions &cli)
     return sweep;
 }
 
-runner::SweepRun
-run_sweep(const SweepSpec &spec, runner::CliOptions &cli)
+int
+finish_run(const SweepSpec &spec, runner::SweepRun &run,
+           const runner::SweepOptions &options, std::ostream &tables)
 {
-    runner::Sweep sweep = make_sweep(spec, cli);
-    runner::SweepRun run = sweep.run();
     if (spec.finalize)
         spec.finalize(run.sink);
-    return run;
+    // The tables need every cell: a drained or --replay-trial run, which
+    // folds only some of the plan's trials, prints none.
+    if (spec.render && run.sink.total_trials() == run.outcomes.size())
+        spec.render(run.sink, tables);
+    return runner::finish_sweep(run, options);
 }
 
 }  // namespace anvil::scenario

@@ -34,6 +34,7 @@
 #define ANVIL_SCENARIO_BUILDER_HH
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "anvil/anvil.hh"
@@ -179,26 +180,23 @@ class ScenarioBuilder
  * registers every cell with its per-cell fixed trial count (else
  * cli.trials_or(default)). The sharded-campaign machinery builds on
  * this — a supervisor needs the sweep's deterministic trial plan
- * (Sweep::plan_specs()) without running anything, and a shard child
+ * (Sweep::campaign()) without running anything, and a shard child
  * needs the same Sweep run under its ShardAssignment. Does NOT apply
- * spec.finalize; callers that run the sweep themselves must apply it to
- * the resulting sink (run_sweep and the merge path both do).
+ * spec.finalize: finish_run() does, for every run that reports.
  * @throw Error when the spec fails validation (validate.hh).
  */
 runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);
 
 /**
- * Runs a whole SweepSpec on the parallel experiment runner with the
- * shared CLI options (--jobs/--master-seed/--trials/--replay-trial plus
- * the fault-tolerance flags --retries/--trial-timeout/--resume/
- * --inject-fault), applying per-cell fixed trial counts and the sweep's
- * finalize hook (on the run's sink). Sets cli.sweep.name to the sweep's
- * name. Does NOT apply spec.render; the caller decides whether the run
- * is complete enough to print.
- * @throw Error when the spec fails validation (validate.hh) or a
- *        --resume journal does not belong to this sweep.
+ * The one ending of every run that produces a report — anvil-sim's
+ * `run`, `supervise` and `merge`: applies spec.finalize to @p run's
+ * folded sink, prints spec.render's tables to @p tables when the sink
+ * holds every plan trial (a drained or --replay-trial run prints none),
+ * then commits the report and maps the run to its exit code
+ * (runner::finish_sweep()).
  */
-runner::SweepRun run_sweep(const SweepSpec &spec, runner::CliOptions &cli);
+int finish_run(const SweepSpec &spec, runner::SweepRun &run,
+               const runner::SweepOptions &options, std::ostream &tables);
 
 }  // namespace anvil::scenario
 

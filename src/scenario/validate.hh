@@ -10,7 +10,7 @@
  * scenario name and the offending field, so a misauthored spec fails with
  * an actionable message before any machine is built.
  *
- * run_sweep() validates the whole SweepSpec once up front;
+ * make_sweep() validates the whole SweepSpec once up front;
  * ScenarioBuilder::build() re-validates its single cell so direct users
  * of the builder (tests, future drivers) get the same protection.
  */

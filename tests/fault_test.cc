@@ -3,11 +3,14 @@
  * Tests of the sweep engine's fault paths, driven by deterministic fault
  * injection (runner/fault.hh): error boundaries, retries with re-derived
  * seeds, watchdog timeouts, the crash-safe journal (round-trip, torn-tail
- * recovery, foreign-file rejection), and the headline recovery guarantee —
+ * recovery by the appender alone, a read-only decoder that survives every
+ * truncation and byte flip, foreign-file and foreign-record rejection),
+ * and the headline recovery guarantee —
  * a sweep drained mid-run and finished with --resume writes final JSON
  * byte-identical to an uninterrupted run.
  */
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -281,34 +284,51 @@ TEST(FaultInjection, TimeoutFromTheTrialBodyIsRecorded)
 // Journal: round-trip, recovery, rejection
 // ---------------------------------------------------------------------------
 
-runner::TrialSpec
-spec_at(const std::string &scenario, std::uint64_t trial,
-        std::uint64_t global_index)
+/**
+ * The campaign of the two-scenario synthetic sweep (alpha and beta, 3
+ * trials each) under @p sweep and @p master_seed — what a reader checks
+ * journals against.
+ */
+runner::Campaign
+synthetic_campaign(const std::string &sweep = "synthetic",
+                   std::uint64_t master_seed = 0x5eedULL)
 {
-    runner::TrialSpec s;
-    s.scenario = scenario;
-    s.trial = trial;
-    s.seed = runner::trial_seed(0x5eedULL, scenario, trial);
-    s.global_index = global_index;
-    return s;
+    runner::SweepOptions options = base_options();
+    options.name = sweep;
+    options.master_seed = master_seed;
+    runner::Sweep s(options);
+    s.add_scenario("alpha", 3, synthetic_result);
+    s.add_scenario("beta", 3, synthetic_result);
+    return s.campaign();
 }
 
-/** A single-process journal header; the plan hash is any fixed value. */
-runner::JournalHeader
-journal_header(const std::string &sweep, std::uint64_t master_seed)
+/** Reads @p path as shard 0 of a one-shard @p campaign. */
+std::vector<runner::JournalRecord>
+read_one_shard(const std::string &path, const runner::Campaign &campaign)
 {
-    runner::JournalHeader header;
-    header.sweep = sweep;
-    header.master_seed = master_seed;
-    header.plan_hash = 0x91a2ULL;
-    return header;
+    return runner::read_journal(path, campaign, 0, 1);
+}
+
+/** Opens a fresh one-shard journal of @p campaign at @p path. */
+void
+open_fresh(runner::JournalWriter &writer, const std::string &path,
+           const runner::Campaign &campaign)
+{
+    writer.open(path, campaign.header(0, 1));
+}
+
+std::size_t
+file_size(const std::string &path)
+{
+    return slurp(path).size();
 }
 
 TEST(Journal, RoundTripsEveryFieldBitExactly)
 {
     const std::string path = temp_path("roundtrip.journal");
+    const runner::Campaign campaign = synthetic_campaign();
 
-    runner::TrialSpec spec = spec_at("alpha", 2, 7);
+    const runner::TrialSpec &spec = campaign.plan[2];  // alpha/2
     runner::TrialOutcome out;
     out.status = runner::TrialStatus::kFailed;
     out.error = "trial failed [scenario=alpha]: caused by: boom";
@@ -336,26 +356,24 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
 
     {
         runner::JournalWriter writer;
-        writer.open(path, journal_header("synthetic", 0x5eedULL),
-                    /*append=*/false);
+        open_fresh(writer, path, campaign);
         ASSERT_TRUE(writer.is_open());
         writer.append(spec, out);
         // A second, minimal record: ok status, no stat blocks.
         runner::TrialOutcome ok;
         ok.result.set_counter("events", 9);
-        writer.append(spec_at("beta", 0, 8), ok);
+        writer.append(campaign.plan[3], ok);  // beta/0
     }
 
     const std::vector<runner::JournalRecord> records =
-        runner::read_journal(path,
-                             journal_header("synthetic", 0x5eedULL));
+        read_one_shard(path, campaign);
     ASSERT_EQ(records.size(), 2u);
 
     const runner::JournalRecord &rec = records[0];
     EXPECT_EQ(rec.spec.scenario, "alpha");
     EXPECT_EQ(rec.spec.trial, 2u);
     EXPECT_EQ(rec.spec.seed, spec.seed);
-    EXPECT_EQ(rec.spec.global_index, 7u);
+    EXPECT_EQ(rec.spec.global_index, 2u);
     EXPECT_EQ(rec.outcome.status, runner::TrialStatus::kFailed);
     EXPECT_EQ(rec.outcome.error, out.error);
     EXPECT_EQ(rec.outcome.attempts, 3u);
@@ -373,6 +391,7 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     EXPECT_EQ(rec.outcome.result.dram().refresh_stall, 105u);
 
     EXPECT_EQ(records[1].spec.scenario, "beta");
+    EXPECT_EQ(records[1].spec.global_index, 3u);
     EXPECT_FALSE(records[1].outcome.result.has_anvil());
     EXPECT_FALSE(records[1].outcome.result.has_dram());
 }
@@ -380,15 +399,16 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
 TEST(Journal, TornTrailingRecordIsTruncatedAway)
 {
     const std::string path = temp_path("torn.journal");
+    const runner::Campaign campaign = synthetic_campaign("synthetic", 1);
+    runner::TrialOutcome ok;
+    ok.result.set_counter("events", 1);
     {
         runner::JournalWriter writer;
-        writer.open(path, journal_header("synthetic", 1),
-                    /*append=*/false);
-        runner::TrialOutcome ok;
-        ok.result.set_counter("events", 1);
-        writer.append(spec_at("alpha", 0, 0), ok);
-        writer.append(spec_at("alpha", 1, 1), ok);
+        open_fresh(writer, path, campaign);
+        writer.append(campaign.plan[0], ok);
+        writer.append(campaign.plan[1], ok);
     }
+    const std::size_t intact = file_size(path);
     // Emulate a crash mid-append: a length prefix promising 48 bytes,
     // followed by only a few.
     {
@@ -396,33 +416,110 @@ TEST(Journal, TornTrailingRecordIsTruncatedAway)
         const char torn[] = {48, 0, 0, 0, 'x', 'y', 'z'};
         app.write(torn, sizeof torn);
     }
+    const std::string torn_bytes = slurp(path);
+    ASSERT_EQ(torn_bytes.size(), intact + 7);
 
-    const std::vector<runner::JournalRecord> recovered =
-        runner::read_journal(path, journal_header("synthetic", 1));
-    ASSERT_EQ(recovered.size(), 2u);
-    EXPECT_EQ(recovered[1].spec.trial, 1u);
+    // Reading recovers the intact prefix and leaves the file alone, every
+    // time: a reader (merge --check, the supervisor) never writes.
+    for (int read = 0; read < 2; ++read) {
+        const std::vector<runner::JournalRecord> recovered =
+            read_one_shard(path, campaign);
+        ASSERT_EQ(recovered.size(), 2u);
+        EXPECT_EQ(recovered[1].spec.trial, 1u);
+        EXPECT_EQ(slurp(path), torn_bytes) << "read #" << read;
+    }
 
-    // Recovery truncated the file: a second read sees a clean journal.
-    const std::vector<runner::JournalRecord> again =
-        runner::read_journal(path, journal_header("synthetic", 1));
-    EXPECT_EQ(again.size(), 2u);
+    // The reader reports the intact length; the appender resumed there
+    // cuts the torn tail, and new records follow the intact ones cleanly.
+    std::uint64_t resume_at = 0;
+    ASSERT_EQ(runner::read_journal(path, campaign, 0, 1, &resume_at).size(),
+              2u);
+    EXPECT_EQ(resume_at, intact);
+    {
+        runner::JournalWriter writer;
+        writer.open(path, campaign.header(0, 1), resume_at);
+        EXPECT_EQ(file_size(path), intact);
+        writer.append(campaign.plan[2], ok);
+    }
+    const std::vector<runner::JournalRecord> appended =
+        read_one_shard(path, campaign);
+    ASSERT_EQ(appended.size(), 3u);
+    EXPECT_EQ(appended[2].spec.trial, 2u);
+    EXPECT_EQ(slurp(path).substr(0, intact), torn_bytes.substr(0, intact));
+}
+
+/**
+ * Every truncation and every single-byte flip of a small real journal
+ * (header, a lease record, two trial records): the reader either
+ * refuses it with an Error or returns a prefix of the original records,
+ * and never changes the file's bytes.
+ */
+TEST(Journal, DecoderSurvivesEveryTruncationAndByteFlip)
+{
+    const std::string path = temp_path("fuzz.journal");
+    const runner::Campaign campaign = synthetic_campaign();
+    std::vector<std::string> originals;
+    {
+        runner::JournalWriter writer;
+        open_fresh(writer, path, campaign);
+        writer.append_lease(0);
+        for (const std::size_t i : {std::size_t{0}, std::size_t{4}}) {
+            runner::TrialOutcome outcome;
+            outcome.result =
+                synthetic_result(runner::TrialContext(campaign.plan[i]));
+            writer.append(campaign.plan[i], outcome);
+            originals.push_back(runner::encode_journal_payload(
+                campaign.plan[i], outcome));
+        }
+    }
+    const std::string journal = slurp(path);
+    ASSERT_EQ(read_one_shard(path, campaign).size(), 2u);
+
+    std::size_t refused = 0, prefixes = 0;
+    const auto check = [&](const std::string &bytes,
+                           const std::string &what) {
+        { std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes; }
+        try {
+            const std::vector<runner::JournalRecord> records =
+                read_one_shard(path, campaign);
+            ASSERT_LE(records.size(), originals.size()) << what;
+            for (std::size_t r = 0; r < records.size(); ++r) {
+                EXPECT_EQ(runner::encode_journal_payload(records[r].spec,
+                                                         records[r].outcome),
+                          originals[r])
+                    << what << ": record " << r;
+            }
+            ++prefixes;
+        } catch (const Error &) {
+            ++refused;
+        }
+        EXPECT_EQ(slurp(path), bytes) << what << ": the reader wrote";
+    };
+    for (std::size_t size = 0; size < journal.size(); ++size)
+        check(journal.substr(0, size), "truncated to " + std::to_string(size));
+    for (std::size_t at = 0; at < journal.size(); ++at) {
+        std::string flipped = journal;
+        flipped[at] = static_cast<char>(flipped[at] ^ 0xff);
+        check(flipped, "byte " + std::to_string(at) + " flipped");
+    }
+    // Both outcomes occur: header damage refuses, record damage recovers.
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(prefixes, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
 {
+    const runner::Campaign synthetic = synthetic_campaign("synthetic", 1);
     const std::string missing = temp_path("never_written.journal");
-    EXPECT_TRUE(
-        runner::read_journal(missing, journal_header("synthetic", 1))
-            .empty());
+    EXPECT_TRUE(read_one_shard(missing, synthetic).empty());
 
     const std::string garbage = temp_path("garbage.journal");
     {
         std::ofstream out(garbage, std::ios::binary);
         out << "this is not a journal";
     }
-    EXPECT_THROW(
-        runner::read_journal(garbage, journal_header("synthetic", 1)),
-        Error);
+    EXPECT_THROW(read_one_shard(garbage, synthetic), Error);
 
     // A journal magic followed by an unsupported version, or by a header
     // cut short: each refusal names its own cause.
@@ -436,7 +533,7 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         const std::string path = temp_path("bad_header.journal");
         std::ofstream(path, std::ios::binary) << bytes;
         try {
-            runner::read_journal(path, journal_header("synthetic", 1));
+            read_one_shard(path, synthetic);
             FAIL() << "accepted a journal whose " << cause;
         } catch (const Error &e) {
             EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
@@ -447,49 +544,104 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
     const std::string other = temp_path("other_sweep.journal");
     {
         runner::JournalWriter writer;
-        writer.open(other, journal_header("sweep_a", 1),
-                    /*append=*/false);
+        open_fresh(writer, other, synthetic_campaign("sweep_a", 1));
     }
     // Different name or master seed: refuse, with guidance.
     try {
-        runner::read_journal(other, journal_header("sweep_b", 1));
+        read_one_shard(other, synthetic_campaign("sweep_b", 1));
         FAIL() << "foreign journal accepted";
     } catch (const Error &e) {
         EXPECT_NE(std::string(e.what()).find("different sweep"),
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(
-        runner::read_journal(other, journal_header("sweep_a", 2)), Error);
-
-    // The append-side re-check refuses the same mismatch.
-    runner::JournalWriter writer;
-    EXPECT_THROW(writer.open(other, journal_header("sweep_b", 1),
-                             /*append=*/true),
+    EXPECT_THROW(read_one_shard(other, synthetic_campaign("sweep_a", 2)),
                  Error);
+
+    // The append-side re-check refuses the same mismatch, and a resume
+    // point past the end of the file.
+    const std::uint64_t header_bytes = file_size(other);
+    runner::JournalWriter writer;
+    EXPECT_THROW(writer.open(other,
+                             synthetic_campaign("sweep_b", 1).header(0, 1),
+                             header_bytes),
+                 Error);
+    EXPECT_THROW(writer.open(other,
+                             synthetic_campaign("sweep_a", 1).header(0, 1),
+                             header_bytes + 1),
+                 Error);
+    EXPECT_EQ(file_size(other), header_bytes);
+}
+
+/**
+ * A journal path that exists but cannot be opened (here a symlink loop)
+ * is an error for the reader and the resume, never taken for a missing
+ * journal that a resume would recreate empty.
+ */
+TEST(Journal, UnopenableJournalIsAnErrorNotAMissingOne)
+{
+    const std::string path = temp_path("loop.json");
+    const std::string journal = runner::shard_journal_path(path, 0);
+    std::remove(journal.c_str());
+    ASSERT_EQ(::symlink(journal.c_str(), journal.c_str()), 0);
+    const runner::Campaign campaign = synthetic_campaign();
+    EXPECT_THROW(read_one_shard(journal, campaign), Error);
+
+    runner::SweepOptions options = base_options();
+    options.json_out = path;
+    options.resume = true;
+    runner::Sweep sweep(options);
+    sweep.add_scenario("alpha", 3, synthetic_result);
+    sweep.add_scenario("beta", 3, synthetic_result);
+    EXPECT_THROW(sweep.run(), Error);
+    std::remove(journal.c_str());
 }
 
 TEST(Journal, PlanHashIsAlwaysChecked)
 {
-    const std::string path = temp_path("plan.journal");
-    {
-        runner::JournalWriter writer;
-        writer.open(path, journal_header("synthetic", 1),
-                    /*append=*/false);
-    }
+    const runner::Campaign campaign = synthetic_campaign("synthetic", 1);
     // Same name and seed, a different plan — including an unrecorded
     // (zero) one: the journal describes some other computation.
     for (const std::uint64_t plan : {std::uint64_t{0}, std::uint64_t{7}}) {
-        runner::JournalHeader expect = journal_header("synthetic", 1);
-        expect.plan_hash = plan;
+        const std::string path = temp_path("plan.journal");
+        {
+            runner::JournalHeader header = campaign.header(0, 1);
+            header.plan_hash = plan;
+            runner::JournalWriter writer;
+            writer.open(path, header);
+        }
         try {
-            runner::read_journal(path, expect);
+            read_one_shard(path, campaign);
             FAIL() << "journal of another plan accepted";
         } catch (const Error &e) {
             EXPECT_NE(std::string(e.what()).find("different sweep plan"),
                       std::string::npos)
                 << e.what();
         }
+    }
+}
+
+TEST(Journal, RecordThatContradictsThePlanIsRefused)
+{
+    // The header matches, but a record's seed is not the plan's seed at
+    // its global index: the record is no fact about this campaign.
+    const std::string path = temp_path("record_mismatch.journal");
+    const runner::Campaign campaign = synthetic_campaign();
+    runner::TrialSpec forged = campaign.plan[1];
+    forged.seed ^= 1;
+    {
+        runner::JournalWriter writer;
+        open_fresh(writer, path, campaign);
+        writer.append(campaign.plan[0], runner::TrialOutcome{});
+        writer.append(forged, runner::TrialOutcome{});
+    }
+    try {
+        read_one_shard(path, campaign);
+        FAIL() << "record contradicting the plan accepted";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("does not match the sweep plan"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "runner/journal.hh"
 #include "runner/options.hh"
 #include "scenario/builder.hh"
 #include "scenario/registry.hh"
@@ -183,6 +184,15 @@ slurp(const std::string &path)
 }
 
 std::string
+temp_path(const std::string &name)
+{
+    const std::string path =
+        ::testing::TempDir() + "anvil_scenario_test_" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+std::string
 data_path(const std::string &relative)
 {
     return std::string(ANVIL_TEST_DATA_DIR) + "/" + relative;
@@ -223,16 +233,42 @@ registered_sweeps()
     return names;
 }
 
+/**
+ * Runs sweep @p name in-process exactly as anvil-sim's `run` verb does
+ * (make_sweep, Sweep::run, finish_run), committing the report to a temp
+ * file named after @p tag. Returns the committed report; @p tables gets
+ * the printed tables.
+ */
+std::string
+run_and_commit(const std::string &name, runner::CliOptions cli,
+               const std::string &tag, std::string &tables)
+{
+    const std::string json = temp_path(tag + ".json");
+    cli.sweep.json_out = json;
+    const scenario::SweepSpec spec =
+        scenario::paper_registry().at(name).make(cli);
+    runner::SweepRun run = scenario::make_sweep(spec, cli).run();
+    std::ostringstream printed;
+    EXPECT_EQ(scenario::finish_run(spec, run, cli.sweep, printed),
+              runner::kExitOk);
+    EXPECT_FALSE(std::ifstream(runner::shard_journal_path(json, 0)).good())
+        << "the commit must retire the run's journal";
+    tables = printed.str();
+    const std::string report = slurp(json);
+    std::remove(json.c_str());
+    return report;
+}
+
 class SweepGolden : public ::testing::TestWithParam<std::string>
 {
 };
 
 /**
- * Runs the sweep in-process exactly as anvil-sim does (make, run,
- * finalize, render) and byte-compares the JSON report and the console
- * tables with goldens captured from the original per-table binaries.
- * Runs on 2 jobs: parallelism must not matter. A sweep without a
- * console golden must not render anything.
+ * Runs the sweep in-process through anvil-sim's own tail (make, run,
+ * finalize, render, commit) and byte-compares the committed JSON report
+ * and the console tables with goldens captured from the original
+ * per-table binaries. Runs on 2 jobs: parallelism must not matter. A
+ * sweep without a console golden must not render anything.
  */
 TEST_P(SweepGolden, TablesAndJsonMatchGoldens)
 {
@@ -241,23 +277,16 @@ TEST_P(SweepGolden, TablesAndJsonMatchGoldens)
     cli.trials = 1;
     cli.sweep.jobs = 2;
     cli.positional = golden_args(name);
-    const scenario::SweepSpec spec =
-        scenario::paper_registry().at(name).make(cli);
-    runner::SweepRun run = scenario::run_sweep(spec, cli);
-    ASSERT_TRUE(run.complete());
-
-    std::ostringstream json;
-    run.sink.write_json(json);
-    EXPECT_EQ(json.str(), slurp(golden_json_path(name)));
+    std::string tables;
+    EXPECT_EQ(run_and_commit(name, cli, "golden_" + name, tables),
+              slurp(golden_json_path(name)));
 
     const std::string console = data_path("console/" + name + ".txt");
     if (std::ifstream(console).good()) {
-        ASSERT_TRUE(spec.render);
-        std::ostringstream tables;
-        spec.render(run.sink, tables);
-        EXPECT_EQ(tables.str(), slurp(console));
+        EXPECT_EQ(tables, slurp(console));
     } else {
-        EXPECT_FALSE(spec.render);
+        EXPECT_FALSE(scenario::paper_registry().at(name).make(cli).render);
+        EXPECT_EQ(tables, "");
     }
 }
 
@@ -279,12 +308,9 @@ TEST(ScenarioGolden, MitigationMatrixIsReproducibleAcrossJobs)
         runner::CliOptions cli;
         cli.trials = 1;
         cli.sweep.jobs = jobs;
-        scenario::SweepSpec spec =
-            scenario::paper_registry().at("mitigation_matrix").make(cli);
-        runner::SweepRun run = scenario::run_sweep(spec, cli);
-        std::ostringstream out;
-        run.sink.write_json(out);
-        return out.str();
+        std::string tables;
+        return run_and_commit("mitigation_matrix", cli,
+                              "matrix_jobs" + std::to_string(jobs), tables);
     };
     const std::string serial = render(1);
     EXPECT_EQ(serial, render(1));  // back-to-back
@@ -467,15 +493,6 @@ run_command(const std::string &command)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-std::string
-temp_path(const std::string &name)
-{
-    const std::string path =
-        ::testing::TempDir() + "anvil_scenario_test_" + name;
-    std::remove(path.c_str());
-    return path;
-}
-
 /**
  * `--json-out -` claims stdout for the report: stdout is exactly the
  * JSON golden and the tables move, byte for byte, to stderr.
@@ -520,6 +537,44 @@ TEST(AnvilSim, ReplayRunReportsOnlyTheReplayedScenario)
     EXPECT_EQ(slurp(out), "");
     std::remove(json.c_str());
     std::remove(out.c_str());
+}
+
+/**
+ * A --replay-trial index past the plan is a configuration error: exit 2
+ * and no report, so an existing report is left as it was.
+ */
+TEST(AnvilSim, OutOfRangeReplayExitsTwoAndWritesNothing)
+{
+    const std::string json = temp_path("replay_oob.json");
+    { std::ofstream(json) << "committed"; }
+    EXPECT_EQ(run_command(std::string(ANVIL_SIM_PATH) +
+                          " table3_detection --trials 1"
+                          " --replay-trial 999 --json-out " + json +
+                          " > /dev/null 2>&1"),
+              2);
+    EXPECT_EQ(slurp(json), "committed");
+    std::remove(json.c_str());
+}
+
+/**
+ * A shard assignment belongs to the `shard` verb: on a verb that commits
+ * a report it would make the run a shard that silently writes none, so
+ * it is a usage error (exit 2) and the report is left as it was.
+ */
+TEST(AnvilSim, ShardFlagsOutsideTheShardVerbExitTwo)
+{
+    const std::string json = temp_path("stray_shard.json");
+    for (const char *verb : {"run", "supervise", "merge"}) {
+        { std::ofstream(json) << "committed"; }
+        EXPECT_EQ(run_command(std::string(ANVIL_SIM_PATH) + " " + verb +
+                              " table3_detection --trials 1 --shards 1"
+                              " --shard-index 0 --shard-count 1"
+                              " --json-out " + json + " > /dev/null 2>&1"),
+                  2)
+            << verb;
+        EXPECT_EQ(slurp(json), "committed") << verb;
+    }
+    std::remove(json.c_str());
 }
 
 #endif  // ANVIL_SIM_PATH

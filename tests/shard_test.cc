@@ -7,7 +7,8 @@
  * overlaps), unsharded runs as shard 0 of a one-shard campaign (their
  * journal merges and resumes like a shard child's), the merge
  * validator's rejection paths (divergent duplicates, foreign plan
- * headers, shard-count mismatches, incomplete campaigns), lease-record
+ * headers, shard-count mismatches, incomplete campaigns), its read-only
+ * handling of a torn journal tail, lease-record
  * replay semantics, process-fault once-markers, and — through the real
  * anvil-sim binary (ANVIL_SIM_PATH) — the headline guarantee: a
  * supervised multi-process run with injected shard crashes and stalls
@@ -114,13 +115,13 @@ direct_json()
     return json_of(sweep.run().sink);
 }
 
-/** The synthetic sweep's full deterministic plan. */
-std::vector<runner::TrialSpec>
-synthetic_plan()
+/** The synthetic sweep's campaign: identity and full plan. */
+runner::Campaign
+synthetic_campaign()
 {
     runner::Sweep sweep(base_options());
     add_synthetic_scenarios(sweep);
-    return sweep.plan_specs();
+    return sweep.campaign();
 }
 
 /**
@@ -151,9 +152,9 @@ run_shard(const std::string &json_out, std::uint32_t index,
     shard.ranges = std::move(ranges);
     shard.lease_interval_ms = 50;
     options.shard = shard;
-    runner::Sweep sweep(std::move(options));
+    runner::Sweep sweep(options);
     add_synthetic_scenarios(sweep);
-    return runner::finish_shard(sweep.run());
+    return runner::finish_sweep(sweep.run(), options);
 }
 
 runner::MergeResult
@@ -163,8 +164,7 @@ merge(const std::string &json_out, std::uint32_t count, bool check = false)
     mo.json_out = json_out;
     mo.shard_count = count;
     mo.check = check;
-    return runner::merge_shards(synthetic_plan(), "synthetic", 0x5eedULL,
-                                mo);
+    return runner::merge_shards(synthetic_campaign(), mo);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,9 +248,11 @@ TEST(ShardRun, MergedJournalsAreByteIdenticalToADirectRun)
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete()) << (m.problems.empty() ? ""
                                                      : m.problems.front());
-    EXPECT_EQ(m.merged, 6u);
+    EXPECT_EQ(m.run.completed, 6u);
     EXPECT_EQ(m.duplicates, 0u);
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
+    // The commit retires both shard journals.
+    EXPECT_EQ(m.run.journals, 2u);
 }
 
 TEST(ShardRun, OutOfOrderShardCompletionIsByteIdentical)
@@ -265,7 +267,7 @@ TEST(ShardRun, OutOfOrderShardCompletionIsByteIdentical)
 
     runner::MergeResult m = merge(out, 3);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(ShardRun, EmptyShardWritesAValidBareJournal)
@@ -285,19 +287,14 @@ TEST(ShardRun, EmptyShardWritesAValidBareJournal)
     // The empty shard still left a header-only journal with the right
     // identity — evidence it ran, not a hole in the campaign. read_journal
     // validates every header field and throws on any mismatch.
-    runner::JournalHeader header;
-    header.sweep = "synthetic";
-    header.master_seed = 0x5eedULL;
-    header.plan_hash = runner::plan_hash(synthetic_plan());
-    header.shard_index = 3;
-    header.shard_count = 4;
     const std::string journal = runner::shard_journal_path(out, 3);
     ASSERT_TRUE(file_exists(journal));
-    EXPECT_TRUE(runner::read_journal(journal, header).empty());
+    EXPECT_TRUE(
+        runner::read_journal(journal, synthetic_campaign(), 3, 4).empty());
 
     runner::MergeResult m = merge(out, 4);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(ShardRun, ShardResumesFromItsOwnJournal)
@@ -315,7 +312,7 @@ TEST(ShardRun, ShardResumesFromItsOwnJournal)
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete());
     EXPECT_EQ(m.duplicates, 0u);  // replay, not re-execution
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 // ---------------------------------------------------------------------------
@@ -334,8 +331,8 @@ TEST(OneShard, InProcessJournalMergesAsAOneShardCampaign)
     runner::MergeResult m = merge(out, 1);
     ASSERT_TRUE(m.complete()) << (m.problems.empty() ? ""
                                                      : m.problems.front());
-    EXPECT_EQ(m.merged, 6u);
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(m.run.completed, 6u);
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(OneShard, InProcessResumeReplaysAOneShardChildJournal)
@@ -385,9 +382,9 @@ TEST(Merge, IdenticalDuplicateFromARequeueRaceIsAccepted)
 
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(m.merged, 6u);
+    EXPECT_EQ(m.run.completed, 6u);
     EXPECT_EQ(m.duplicates, 1u);
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 
     // The strict validator (merge --check) flags the same overlap.
     runner::MergeResult strict = merge(out, 2, /*check=*/true);
@@ -400,22 +397,17 @@ TEST(Merge, IdenticalDuplicateFromARequeueRaceIsAccepted)
 TEST(Merge, DivergentDuplicateIsRefused)
 {
     const std::string out = temp_path("merge_diverge.json");
-    const auto plan = synthetic_plan();
+    const runner::Campaign campaign = synthetic_campaign();
+    const std::vector<runner::TrialSpec> &plan = campaign.plan;
     EXPECT_EQ(run_shard(out, 0, 2, {runner::TrialRange{0, 5}}),
               runner::kExitOk);
 
     // Forge shard 1's journal: it claims trial 0 with a *different*
     // outcome — what a nondeterministic trial body would produce.
-    runner::JournalHeader header;
-    header.sweep = "synthetic";
-    header.master_seed = 0x5eedULL;
-    header.plan_hash = runner::plan_hash(plan);
-    header.shard_index = 1;
-    header.shard_count = 2;
     {
         runner::JournalWriter writer;
-        writer.open(runner::shard_journal_path(out, 1), header,
-                    /*append=*/false);
+        writer.open(runner::shard_journal_path(out, 1),
+                    campaign.header(1, 2));
         runner::TrialOutcome outcome;
         outcome.result.set_value("metric", 123.456);
         outcome.result.set_counter("events", 999);
@@ -431,22 +423,16 @@ TEST(Merge, DivergentDuplicateIsRefused)
 TEST(Merge, JournalWithMismatchedPlanHeaderIsRejected)
 {
     const std::string out = temp_path("merge_foreign.json");
-    const auto plan = synthetic_plan();
     EXPECT_EQ(run_shard(out, 0, 2, {runner::TrialRange{0, 2}}),
               runner::kExitOk);
 
     // Shard 1's journal comes from a different sweep definition: same
     // name and seed, different plan hash (trial count changed).
-    runner::JournalHeader header;
-    header.sweep = "synthetic";
-    header.master_seed = 0x5eedULL;
-    header.plan_hash = runner::plan_hash(plan) ^ 0xdeadbeefULL;
-    header.shard_index = 1;
-    header.shard_count = 2;
+    runner::JournalHeader header = synthetic_campaign().header(1, 2);
+    header.plan_hash ^= 0xdeadbeefULL;
     {
         runner::JournalWriter writer;
-        writer.open(runner::shard_journal_path(out, 1), header,
-                    /*append=*/false);
+        writer.open(runner::shard_journal_path(out, 1), header);
     }
 
     runner::MergeResult m = merge(out, 2);
@@ -472,6 +458,36 @@ TEST(Merge, IncompleteCampaignNamesTheMissingRanges)
     EXPECT_NE(problem.find("3-5"), std::string::npos);
 }
 
+TEST(Merge, CheckLeavesATornJournalByteIdentical)
+{
+    const std::string out = temp_path("merge_torn.json");
+    EXPECT_EQ(run_shard(out, 0, 2, {runner::TrialRange{0, 2}}),
+              runner::kExitOk);
+    EXPECT_EQ(run_shard(out, 1, 2, {runner::TrialRange{3, 5}}),
+              runner::kExitOk);
+    // Shard 1 was killed mid-append after its last record: a length
+    // prefix promising 48 bytes, followed by only a few.
+    const std::string journal = runner::shard_journal_path(out, 1);
+    {
+        std::ofstream app(journal, std::ios::binary | std::ios::app);
+        const char torn[] = {48, 0, 0, 0, 'x', 'y', 'z'};
+        app.write(torn, sizeof torn);
+    }
+    const std::string before = slurp(journal);
+
+    // The validator reads the intact records and writes nothing.
+    runner::MergeResult strict = merge(out, 2, /*check=*/true);
+    EXPECT_TRUE(strict.complete())
+        << (strict.problems.empty() ? "" : strict.problems.front());
+    EXPECT_EQ(slurp(journal), before);
+
+    // Neither does the merge itself; its fold is still the direct run's.
+    runner::MergeResult m = merge(out, 2);
+    ASSERT_TRUE(m.complete());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
+    EXPECT_EQ(slurp(journal), before);
+}
+
 // ---------------------------------------------------------------------------
 // Lease records and process-fault markers
 // ---------------------------------------------------------------------------
@@ -479,13 +495,11 @@ TEST(Merge, IncompleteCampaignNamesTheMissingRanges)
 TEST(Lease, HeartbeatRecordsAreInvisibleToReplay)
 {
     const std::string path = temp_path("lease.journal");
-    const auto plan = synthetic_plan();
-    runner::JournalHeader header;
-    header.sweep = "synthetic";
-    header.master_seed = 0x5eedULL;
+    const runner::Campaign campaign = synthetic_campaign();
+    const std::vector<runner::TrialSpec> &plan = campaign.plan;
     {
         runner::JournalWriter writer;
-        writer.open(path, header, /*append=*/false);
+        writer.open(path, campaign.header(0, 1));
         writer.append_lease(0);
         runner::TrialOutcome outcome;
         outcome.result = synthetic_result(runner::TrialContext(plan[0]));
@@ -493,7 +507,7 @@ TEST(Lease, HeartbeatRecordsAreInvisibleToReplay)
         writer.append_lease(1);
         writer.append_lease(2);
     }
-    const auto records = runner::read_journal(path, header);
+    const auto records = runner::read_journal(path, campaign, 0, 1);
     ASSERT_EQ(records.size(), 1u);  // leases are liveness, not results
     EXPECT_EQ(records[0].spec.global_index, 0u);
     std::remove(path.c_str());
@@ -587,6 +601,7 @@ TEST(Supervise, MergeCheckRejectsAnIncompleteCampaign)
         " shard table3_detection --trials 1 --shard-index 0"
         " --shard-count 4 --json-out " + out + " 2>&1";
     EXPECT_EQ(run_command(shard0), 0);
+    const std::string journal = slurp(runner::shard_journal_path(out, 0));
 
     const std::string check =
         std::string(ANVIL_SIM_PATH) +
@@ -594,6 +609,7 @@ TEST(Supervise, MergeCheckRejectsAnIncompleteCampaign)
         " --json-out " + out + " 2>&1";
     EXPECT_EQ(run_command(check), runner::kExitMergeError);
     EXPECT_FALSE(file_exists(out));  // --check never writes the report
+    EXPECT_EQ(slurp(runner::shard_journal_path(out, 0)), journal);
 
     for (std::uint32_t k = 0; k < 4; ++k)
         std::remove(runner::shard_journal_path(out, k).c_str());

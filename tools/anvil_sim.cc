@@ -91,48 +91,53 @@ require_file_json_out(const runner::CliOptions &cli, const char *verb)
 }
 
 /**
- * Prints @p spec's paper tables from a finalized, complete result: to
- * stdout, or to stderr when the JSON report is written to stdout.
+ * The ending of every report-producing verb (`run`, `supervise`,
+ * `merge`): scenario::finish_run, with the tables on stdout — or on
+ * stderr when the JSON report claims stdout.
  */
-void
-render_tables(const scenario::SweepSpec &spec,
-              const runner::ResultSink &sink,
-              const runner::SweepOptions &options)
+int
+finish(const scenario::SweepSpec &spec, runner::SweepRun &run,
+       const runner::SweepOptions &options)
 {
-    if (spec.render)
-        spec.render(sink, options.json_out == "-" ? std::cerr : std::cout);
+    return scenario::finish_run(spec, run, options,
+                                options.json_out == "-" ? std::cerr
+                                                        : std::cout);
 }
 
 /**
- * Commits a complete merged campaign: finalize, print the tables, write
- * the report, then drop the shard journals whose work it now holds.
- * @return the verb's exit code.
+ * Folds the campaign's @p shards shard journals. A complete campaign is
+ * finished like any run, or under @p check only validated (nothing is
+ * written); an incomplete or invalid one prints its diagnostics.
  */
 int
-commit_merged_report(const scenario::SweepSpec &spec,
-                     runner::MergeResult &merge,
-                     const runner::SweepOptions &options,
-                     std::uint32_t shard_count)
+merge_and_finish(const scenario::SweepSpec &spec,
+                 const runner::Campaign &campaign,
+                 const runner::SweepOptions &options, std::uint32_t shards,
+                 bool check)
 {
-    if (spec.finalize)
-        spec.finalize(merge.sink);
-    render_tables(spec, merge.sink, options);
-    if (!runner::write_json_output(merge.sink, options))
-        return runner::kExitJsonError;
-    runner::remove_shard_journals(options.json_out, shard_count);
-    return merge.failed != 0 ? runner::kExitTrialFailure
-                             : runner::kExitOk;
-}
-
-/** Prints merge diagnostics; returns the verb's exit code. */
-int
-report_merge_problems(const runner::MergeResult &merge)
-{
-    for (const std::string &line : merge.coverage)
-        std::fprintf(stderr, "anvil-sim: merge: %s\n", line.c_str());
-    for (const std::string &line : merge.problems)
-        std::fprintf(stderr, "anvil-sim: merge: error: %s\n", line.c_str());
-    return runner::kExitMergeError;
+    runner::MergeResult merge = runner::merge_shards(
+        campaign, {.json_out = options.json_out,
+                   .shard_count = shards,
+                   .check = check});
+    if (!merge.complete() || check) {
+        for (const std::string &line : merge.coverage)
+            std::fprintf(stderr, "anvil-sim: merge: %s\n", line.c_str());
+    }
+    if (!merge.complete()) {
+        for (const std::string &line : merge.problems)
+            std::fprintf(stderr, "anvil-sim: merge: error: %s\n",
+                         line.c_str());
+        return runner::kExitMergeError;
+    }
+    if (check) {
+        std::fprintf(stderr,
+                     "anvil-sim: merge: ok — %zu trial(s) across %u "
+                     "shard journal(s), %llu failure record(s)\n",
+                     merge.run.outcomes.size(), shards,
+                     static_cast<unsigned long long>(merge.run.failed));
+        return runner::kExitOk;
+    }
+    return finish(spec, merge.run, options);
 }
 
 /**
@@ -158,8 +163,8 @@ run_shard(const scenario::SweepSpec &spec, runner::CliOptions &cli)
         cli.sweep.shard->ranges = runner::partition_trials(
             total, cli.sweep.shard->count)[cli.sweep.shard->index];
     }
-    runner::Sweep sweep = scenario::make_sweep(spec, cli);
-    return runner::finish_shard(sweep.run());
+    return runner::finish_sweep(scenario::make_sweep(spec, cli).run(),
+                                cli.sweep);
 }
 
 /**
@@ -177,14 +182,12 @@ run_supervise(const scenario::SweepFactory &factory,
         return runner::kExitUsage;
     }
 
-    runner::Sweep sweep = scenario::make_sweep(spec, cli);
-    const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
+    const runner::Campaign campaign =
+        scenario::make_sweep(spec, cli).campaign();
 
     runner::SupervisorOptions sup = cli.supervisor;
     sup.exe = "/proc/self/exe";
     sup.json_out = cli.sweep.json_out;
-    sup.sweep = cli.sweep.name;
-    sup.master_seed = cli.sweep.master_seed;
 
     // Children re-run this binary's `shard` verb over the same sweep
     // with the same determinism-relevant flags; the supervisor appends
@@ -222,22 +225,13 @@ run_supervise(const scenario::SweepFactory &factory,
         args.push_back(runner::to_string(fault));
     }
 
-    const runner::SupervisorReport report =
-        runner::supervise(plan, sup);
+    const runner::SupervisorReport report = runner::supervise(campaign, sup);
     if (report.interrupted)
         return runner::kExitPartial;
     if (!report.complete)
         return runner::kExitShardDead;
-
-    runner::MergeOptions mo;
-    mo.json_out = cli.sweep.json_out;
-    mo.shard_count = sup.shards;
-    runner::MergeResult merge =
-        runner::merge_shards(plan, cli.sweep.name, cli.sweep.master_seed,
-                             mo);
-    if (!merge.complete())
-        return report_merge_problems(merge);
-    return commit_merged_report(spec, merge, cli.sweep, sup.shards);
+    return merge_and_finish(spec, campaign, cli.sweep, sup.shards,
+                            /*check=*/false);
 }
 
 /**
@@ -249,30 +243,8 @@ run_merge(const scenario::SweepSpec &spec, runner::CliOptions &cli)
 {
     if (!require_file_json_out(cli, "merge"))
         return runner::kExitUsage;
-    runner::Sweep sweep = scenario::make_sweep(spec, cli);
-    const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
-
-    runner::MergeOptions mo;
-    mo.json_out = cli.sweep.json_out;
-    mo.shard_count = cli.supervisor.shards;
-    mo.check = cli.check;
-    runner::MergeResult merge =
-        runner::merge_shards(plan, cli.sweep.name, cli.sweep.master_seed,
-                             mo);
-    if (!merge.complete())
-        return report_merge_problems(merge);
-    if (cli.check) {
-        for (const std::string &line : merge.coverage)
-            std::fprintf(stderr, "anvil-sim: merge: %s\n", line.c_str());
-        std::fprintf(stderr,
-                     "anvil-sim: merge: ok — %llu trial(s) across %u "
-                     "shard journal(s), %llu failure record(s)\n",
-                     static_cast<unsigned long long>(merge.merged),
-                     mo.shard_count,
-                     static_cast<unsigned long long>(merge.failed));
-        return runner::kExitOk;
-    }
-    return commit_merged_report(spec, merge, cli.sweep, mo.shard_count);
+    return merge_and_finish(spec, scenario::make_sweep(spec, cli).campaign(),
+                            cli.sweep, cli.supervisor.shards, cli.check);
 }
 
 }  // namespace
@@ -311,6 +283,13 @@ main(int argc, char **argv)
                      "(try --list)\n");
         return runner::kExitUsage;
     }
+    // A shard commits no report: on another verb, shard flags would
+    // silently withhold the report that verb exists to commit.
+    if (cli.sweep.shard && verb != "shard") {
+        std::fprintf(stderr, "anvil-sim: shard flags need the `shard` verb, "
+                             "not `%s`\n", verb.c_str());
+        return runner::kExitUsage;
+    }
 
     const std::string name = cli.positional.front();
     const scenario::SweepFactory *factory =
@@ -344,11 +323,8 @@ main(int argc, char **argv)
             return run_supervise(*factory, spec, cli);
         if (verb == "merge")
             return run_merge(spec, cli);
-        runner::SweepRun run = scenario::run_sweep(spec, cli);
-        // A drained or single-trial run lacks cells the tables need.
-        if (run.complete() && !cli.sweep.replay_trial)
-            render_tables(spec, run.sink, cli.sweep);
-        return runner::finish_sweep(run, cli.sweep);
+        runner::SweepRun run = scenario::make_sweep(spec, cli).run();
+        return finish(spec, run, cli.sweep);
     } catch (const Error &e) {
         // Configuration-level faults (spec validation, a --resume journal
         // from a different sweep) — not per-trial failures, which the
