@@ -3,9 +3,10 @@
  * Flat replacement engines: the per-access hot-path implementation of the
  * six replacement policies.
  *
- * The reference implementation (`SetPolicy` in replacement.hh) allocates
- * one heap object per cache set and dispatches every touch through a
- * vtable — a pointer chase plus an indirect call per access per level.
+ * The test-only reference (`SetPolicy` in tests/reference_replacement.hh)
+ * allocates one heap object per cache set and dispatches every touch
+ * through a vtable — a pointer chase plus an indirect call per access per
+ * level.
  * Each engine here instead keeps the state of *all* sets of a cache in a
  * single contiguous POD array (one machine word or a few bytes per set),
  * dispatched once per cache through a `std::variant`. Victim/eviction

@@ -9,20 +9,14 @@
  * exactly as described, plus true LRU, NRU, Tree-PLRU, SRRIP, and Random
  * for comparison and ablation.
  *
- * These per-set virtual-dispatch policies are the REFERENCE
- * implementation, kept for golden-equivalence testing; the hot path uses
- * the flat engines in flat_replacement.hh, which must reproduce these
- * victim/eviction sequences bit-exactly.
+ * The engines live in flat_replacement.hh. Their per-set virtual-dispatch
+ * reference, which they must reproduce bit-exactly, is test code
+ * (tests/reference_replacement.hh).
  */
 #ifndef ANVIL_CACHE_REPLACEMENT_HH
 #define ANVIL_CACHE_REPLACEMENT_HH
 
-#include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/rng.hh"
 
 namespace anvil::cache {
 
@@ -41,37 +35,6 @@ ReplPolicy parse_policy(const std::string &name);
 
 /** Name of a policy value. */
 const char *to_string(ReplPolicy policy);
-
-/**
- * Replacement state for one cache set.
- *
- * The owning cache guarantees that victim() is only called when every way
- * is valid (invalid ways are filled first).
- */
-class SetPolicy
-{
-  public:
-    virtual ~SetPolicy() = default;
-
-    /** A hit touched @p way. */
-    virtual void on_access(std::uint32_t way) = 0;
-
-    /** A new line was installed in @p way. */
-    virtual void on_fill(std::uint32_t way) = 0;
-
-    /** The line in @p way was invalidated. */
-    virtual void on_invalidate(std::uint32_t way) = 0;
-
-    /** Chooses the way to evict. */
-    virtual std::uint32_t victim() = 0;
-};
-
-/**
- * Creates per-set policy state.
- * @param rng used only by kRandom; may be nullptr for other policies.
- */
-std::unique_ptr<SetPolicy> make_set_policy(ReplPolicy policy,
-                                           std::uint32_t ways, Rng *rng);
 
 }  // namespace anvil::cache
 

@@ -541,9 +541,15 @@ read_journal(const std::string &path, const Campaign &campaign,
     if (!file)
         return {};  // nothing journaled yet
     const std::string &data = *file;
+    const JournalHeader expect = campaign.header(shard_index, shard_count);
+    // A crash between JournalWriter::open()'s create and its header
+    // write leaves a proper prefix of this campaign's header: nothing
+    // was journaled, and a fresh open rewrites it.
+    const std::string header = encode_header(expect);
+    if (data.size() < header.size() && header.starts_with(data))
+        return {};
     std::size_t offset = 0;
-    validate_header(decode_header(data, path, offset),
-                    campaign.header(shard_index, shard_count), path);
+    validate_header(decode_header(data, path, offset), expect, path);
 
     // The intact prefix: decoding stops at the first torn, corrupt, or
     // undecodable record, which stays on disk for the appender to cut.

@@ -28,6 +28,9 @@
  *     appender (a JournalWriter resumed at read_journal()'s intact
  *     length) cuts the torn tail away, so `merge --check` and the
  *     supervisor are read-only;
+ *   - a file that is a proper prefix of the campaign's header (empty
+ *     included: a crash between create and header write) holds no
+ *     records and resumes at length 0, which rewrites it;
  *   - a journal that exists but cannot be read is an error, never
  *     taken for a missing one;
  *   - a header that does not match the campaign (different name, master
@@ -142,10 +145,11 @@ class JournalWriter
  * Reads every intact trial record (lease records are skipped) of the
  * journal at @p path, which must be shard @p shard_index of
  * @p shard_count of @p campaign. A torn tail ends the records and is
- * left on disk; a missing file has none. @p intact_bytes, when given,
- * receives the length of the header plus the intact records (0 when
- * the file is missing): the JournalWriter::open() argument that resumes
- * the journal.
+ * left on disk; a missing file, or one holding only a proper prefix of
+ * the expected header, has none. @p intact_bytes, when given, receives
+ * the length of the header plus the intact records (0 when there is no
+ * complete header): the JournalWriter::open() argument that resumes the
+ * journal.
  * @throw Error when the file exists but cannot be read, or when the
  *        header or a record does not match @p campaign.
  */

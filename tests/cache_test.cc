@@ -11,7 +11,7 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/replacement.hh"
+#include "reference_replacement.hh"
 
 namespace anvil::cache {
 namespace {

@@ -449,10 +449,11 @@ TEST(Journal, TornTrailingRecordIsTruncatedAway)
 }
 
 /**
- * Every truncation and every single-byte flip of a small real journal
- * (header, a lease record, two trial records): the reader either
- * refuses it with an Error or returns a prefix of the original records,
- * and never changes the file's bytes.
+ * Every truncation, every single-byte flip, every single-byte insertion
+ * and a few appended tails of a small real journal (header, a lease
+ * record, two trial records): the reader either refuses it with an
+ * Error or returns a prefix of the original records, and never changes
+ * the file's bytes.
  */
 TEST(Journal, DecoderSurvivesEveryTruncationAndByteFlip)
 {
@@ -501,6 +502,20 @@ TEST(Journal, DecoderSurvivesEveryTruncationAndByteFlip)
         std::string flipped = journal;
         flipped[at] = static_cast<char>(flipped[at] ^ 0xff);
         check(flipped, "byte " + std::to_string(at) + " flipped");
+    }
+    for (std::size_t at = 0; at <= journal.size(); ++at) {
+        std::string inserted = journal;
+        inserted.insert(at, 1, '\x5a');
+        check(inserted, "byte inserted at " + std::to_string(at));
+    }
+    // Appended tails: a stray byte, an empty frame with a wrong checksum,
+    // a length promising more than follows, and a run of 0xff.
+    for (const std::string &tail :
+         {std::string(1, '\0'), std::string(12, '\0'),
+          std::string("\x40\0\0\0", 4) + std::string(8, '\x11') + "xyz",
+          std::string(64, '\xff')}) {
+        check(journal + tail,
+              std::to_string(tail.size()) + " bytes appended");
     }
     // Both outcomes occur: header damage refuses, record damage recovers.
     EXPECT_GT(refused, 0u);

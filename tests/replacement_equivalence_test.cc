@@ -2,7 +2,7 @@
  * @file
  * Golden-trace equivalence: the flat replacement engines
  * (flat_replacement.hh) must reproduce the victim/eviction sequences of
- * the retained per-set virtual SetPolicy reference (replacement.hh)
+ * the per-set virtual SetPolicy reference (reference_replacement.hh)
  * bit-exactly, over randomized traces that exercise hits, fills,
  * invalidations, and both the split (victim + on_fill) and fused
  * (victim_and_fill) eviction paths.
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "cache/flat_replacement.hh"
-#include "cache/replacement.hh"
+#include "reference_replacement.hh"
 #include "common/rng.hh"
 
 namespace anvil::cache {

@@ -557,23 +557,67 @@ TEST(AnvilSim, OutOfRangeReplayExitsTwoAndWritesNothing)
 }
 
 /**
- * A shard assignment belongs to the `shard` verb: on a verb that commits
- * a report it would make the run a shard that silently writes none, so
- * it is a usage error (exit 2) and the report is left as it was.
+ * A shard assignment belongs to the `shard` verb and a one-trial replay
+ * to `run`: on a verb that commits the whole campaign's report, either
+ * would be silently ignored or would withhold the report, so it is a
+ * usage error (exit 2) and the report is left as it was.
  */
 TEST(AnvilSim, ShardFlagsOutsideTheShardVerbExitTwo)
 {
     const std::string json = temp_path("stray_shard.json");
-    for (const char *verb : {"run", "supervise", "merge"}) {
+    const std::string shard_flags = " --shard-index 0 --shard-count 1";
+    const std::string replay_flag = " --replay-trial 0";
+    for (const auto &[verb, flags] :
+         {std::pair{"run", shard_flags}, std::pair{"supervise", shard_flags},
+          std::pair{"merge", shard_flags}, std::pair{"supervise", replay_flag},
+          std::pair{"merge", replay_flag}}) {
         { std::ofstream(json) << "committed"; }
         EXPECT_EQ(run_command(std::string(ANVIL_SIM_PATH) + " " + verb +
-                              " table3_detection --trials 1 --shards 1"
-                              " --shard-index 0 --shard-count 1"
-                              " --json-out " + json + " > /dev/null 2>&1"),
+                              " table3_detection --trials 1 --shards 1" +
+                              flags + " --json-out " + json +
+                              " > /dev/null 2>&1"),
                   2)
-            << verb;
-        EXPECT_EQ(slurp(json), "committed") << verb;
+            << verb << flags;
+        EXPECT_EQ(slurp(json), "committed") << verb << flags;
     }
+    std::remove(json.c_str());
+}
+
+/**
+ * A crash between a journal's create and its header write leaves an
+ * empty or half-written header. That holds no trials, so `--resume`
+ * starts the campaign over and commits the golden report; a short file
+ * that is not a prefix of this campaign's header is still refused.
+ */
+TEST(AnvilSim, HeaderlessJournalDoesNotBlockResume)
+{
+    const std::string json = temp_path("headerless.json");
+    const std::string journal = runner::shard_journal_path(json, 0);
+    runner::CliOptions cli;
+    cli.trials = 1;
+    const scenario::SweepSpec spec =
+        scenario::paper_registry().at("table3_detection").make(cli);
+    {
+        runner::JournalWriter writer;
+        writer.open(journal,
+                    scenario::make_sweep(spec, cli).campaign().header(0, 1));
+    }
+    const std::string header = slurp(journal);
+    const std::string resume = std::string(ANVIL_SIM_PATH) +
+                               " table3_detection --trials 1 --json-out " +
+                               json + " --resume > /dev/null 2>&1";
+    for (const std::string &stub :
+         {std::string(), header.substr(0, header.size() / 2)}) {
+        std::remove(json.c_str());
+        { std::ofstream(journal, std::ios::binary) << stub; }
+        EXPECT_EQ(run_command(resume), 0) << stub.size() << " header bytes";
+        EXPECT_EQ(slurp(json), slurp(golden_json_path("table3_detection")))
+            << stub.size() << " header bytes";
+    }
+    { std::ofstream(journal, std::ios::binary) << "ANVIX"; }
+    EXPECT_EQ(run_command(resume), 2);
+    EXPECT_EQ(slurp(journal), "ANVIX");
+    std::remove(journal.c_str());
     std::remove(json.c_str());
 }
 

@@ -290,6 +290,13 @@ main(int argc, char **argv)
                              "not `%s`\n", verb.c_str());
         return runner::kExitUsage;
     }
+    // supervise and merge commit the whole campaign: they would ignore a
+    // one-trial replay and overwrite the report with every trial.
+    if (cli.sweep.replay_trial && (verb == "supervise" || verb == "merge")) {
+        std::fprintf(stderr, "anvil-sim: --replay-trial needs the `run` "
+                             "verb, not `%s`\n", verb.c_str());
+        return runner::kExitUsage;
+    }
 
     const std::string name = cli.positional.front();
     const scenario::SweepFactory *factory =
