@@ -10,18 +10,32 @@
  * core." (Section 2.2). With 2 slices of 2048 sets each, the per-slice set
  * index is bits 6..16 and the slice is selected by a hash of the upper
  * address bits.
+ *
+ * Like Sandy Bridge, the inclusive LLC keeps "core-valid bits": each LLC
+ * line records whether, and in which way, L1 and L2 hold it. An access
+ * therefore scans only its LLC slice's tags; L1/L2 residency and
+ * back-invalidation read those bits instead of probing the core caches.
  */
 #ifndef ANVIL_CACHE_HIERARCHY_HH
 #define ANVIL_CACHE_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/types.hh"
 
 namespace anvil::cache {
+
+/// Most LLC slices the slice hash can address (three hash bits).
+inline constexpr std::uint32_t kMaxLlcSlices = 8;
+
+/**
+ * LLC slice the line containing @p pa maps to, of @p slices.
+ * @pre @p slices is a power of two, at most kMaxLlcSlices.
+ */
+std::uint32_t llc_slice_of(Addr pa, std::uint32_t slices);
 
 /** Configuration of the full hierarchy. */
 struct HierarchyConfig {
@@ -45,7 +59,6 @@ struct HierarchyConfig {
     /// cycles" — the paper's cost model uses 29.
     Cycles llc_latency = 29;
     ReplPolicy llc_policy = ReplPolicy::kBitPlru;
-    bool llc_inclusive = true;
 
     std::uint64_t rng_seed = 0xCACE5EEDULL;
 
@@ -83,7 +96,10 @@ class CacheHierarchy
      */
     int clflush(Addr pa);
 
-    /** True if the line is present at any level (for tests). */
+    /**
+     * True if the line is present at any level (for tests): by inclusion,
+     * whether the LLC holds it.
+     */
     bool present_anywhere(Addr pa) const;
 
     /** LLC slice index the address maps to. */
@@ -92,8 +108,8 @@ class CacheHierarchy
     /** Set index within its LLC slice. */
     std::uint32_t llc_set(Addr pa) const;
 
-    const Cache &l1() const { return l1_; }
-    const Cache &l2() const { return l2_; }
+    const Cache &l1() const { return core_[kL1].cache; }
+    const Cache &l2() const { return core_[kL2].cache; }
     const Cache &llc(std::uint32_t slice) const { return llc_[slice]; }
     const HierarchyConfig &config() const { return config_; }
 
@@ -103,13 +119,46 @@ class CacheHierarchy
     void reset_stats();
 
   private:
-    void install_llc(Addr pa, Cache &slice);
+    /// Core-valid byte of one LLC line for one core cache: kPresent | way.
+    static constexpr std::uint8_t kPresent = 0x80;
+    static constexpr std::uint8_t kWayMask = 0x7f;
+
+    /** A private core cache and, per way, the LLC slot of its line. */
+    struct CoreCache {
+        Cache cache;
+        std::vector<std::uint32_t> llc_slot;  ///< [set * ways + way]
+    };
+    enum CoreLevel : std::size_t { kL1 = 0, kL2 = 1 };
+
+    /** Slot of an LLC way: (slice * sets + set) * ways + way. */
+    std::uint32_t
+    slot_of(std::uint32_t slice, std::uint32_t set, std::uint32_t way) const
+    {
+        return (slice * config_.llc_sets_per_slice + set) * config_.llc_ways +
+               way;
+    }
+
+    /**
+     * Fills the line at LLC slot @p slot into core cache @p level and sets
+     * its core-valid byte; clears the byte of the line it evicts.
+     */
+    void fill_core(CoreLevel level, Addr pa, std::uint32_t slot);
+
+    /**
+     * Invalidates the line at LLC slot @p slot (base address @p line) in
+     * every core cache whose core-valid byte is set, L1 first.
+     * @return number of core caches that held it.
+     */
+    int invalidate_core(Addr line, std::uint32_t slot);
 
     HierarchyConfig config_;
     Rng rng_;
-    Cache l1_;
-    Cache l2_;
+    CoreCache core_[2];  ///< indexed by CoreLevel
     std::vector<Cache> llc_;
+    /// Per LLC slot, the core-valid bytes, indexed by CoreLevel. Exact
+    /// for every valid LLC line: a resident LLC line never changes slot,
+    /// and leaving the LLC invalidates it in the core caches first.
+    std::vector<std::array<std::uint8_t, 2>> core_valid_;
 };
 
 }  // namespace anvil::cache

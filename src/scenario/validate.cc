@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/hierarchy.hh"
 #include "common/bits.hh"
 #include "common/error.hh"
 #include "common/text.hh"
@@ -41,6 +42,18 @@ require_nonzero(const ScenarioSpec &spec, const char *field, std::uint64_t v)
 {
     if (v == 0)
         throw cell_error(spec, std::string(field) + " must be nonzero");
+}
+
+void
+require_ways(const ScenarioSpec &spec, const char *field, std::uint64_t v)
+{
+    if (v == 0 || v > cache::kMaxWays) {
+        throw cell_error(spec,
+                         std::string(field) +
+                             " must be between 1 and 64 (a set's valid "
+                             "bits are one 64-bit word)")
+            .with("value", v);
+    }
 }
 
 std::string
@@ -126,10 +139,16 @@ validate(const ScenarioSpec &spec)
     require_pow2(spec, "cache.l2_sets", cache.l2_sets);
     require_pow2(spec, "cache.llc_sets_per_slice",
                  cache.llc_sets_per_slice);
-    require_nonzero(spec, "cache.l1_ways", cache.l1_ways);
-    require_nonzero(spec, "cache.l2_ways", cache.l2_ways);
-    require_nonzero(spec, "cache.llc_ways", cache.llc_ways);
-    require_nonzero(spec, "cache.llc_slices", cache.llc_slices);
+    require_ways(spec, "cache.l1_ways", cache.l1_ways);
+    require_ways(spec, "cache.l2_ways", cache.l2_ways);
+    require_ways(spec, "cache.llc_ways", cache.llc_ways);
+    if (!is_pow2(cache.llc_slices) ||
+        cache.llc_slices > cache::kMaxLlcSlices) {
+        throw cell_error(spec,
+                         "cache.llc_slices must be a power of two no "
+                         "larger than 8 (the slice hash has three bits)")
+            .with("value", cache.llc_slices);
+    }
 
     const dram::DramConfig &dram = spec.system.dram;
     require_nonzero(spec, "dram.channels", dram.channels);

@@ -354,6 +354,32 @@ TEST(Validate, RejectsNonPowerOfTwoCacheSets)
     expect_invalid(spec, "llc_sets_per_slice");
 }
 
+TEST(Validate, RejectsUnsupportedCacheGeometry)
+{
+    scenario::ScenarioSpec spec = detection_spec();
+    // The slice hash has three bits, and a slice count that is not 2^k
+    // would leave slices unused.
+    for (const std::uint32_t slices : {0u, 3u, 6u, 16u}) {
+        spec.system.cache.llc_slices = slices;
+        expect_invalid(spec, "llc_slices");
+    }
+    spec.system.cache.llc_slices = cache::kMaxLlcSlices;
+    EXPECT_NO_THROW(scenario::validate(spec));
+
+    // A set's valid bits are one 64-bit word.
+    for (std::uint32_t cache::HierarchyConfig::*ways :
+         {&cache::HierarchyConfig::l1_ways, &cache::HierarchyConfig::l2_ways,
+          &cache::HierarchyConfig::llc_ways}) {
+        scenario::ScenarioSpec wide = detection_spec();
+        wide.system.cache.*ways = cache::kMaxWays + 1;
+        expect_invalid(wide, "_ways");
+        wide.system.cache.*ways = 0;
+        expect_invalid(wide, "_ways");
+        wide.system.cache.*ways = cache::kMaxWays;
+        EXPECT_NO_THROW(scenario::validate(wide));
+    }
+}
+
 TEST(Validate, RejectsZeroRowDram)
 {
     scenario::ScenarioSpec spec = detection_spec();

@@ -22,11 +22,16 @@ Noise alone can also fail it: one of three runs of a tree against
 itself flagged hammer's `setup_s` (about 25 ms, one sample per run) at
 +29.5%.
 
-Prints a table of medians per workload and metric, then a one-line JSON
-summary that also holds every run's value. Exit codes: 0 no regression;
-1 some median is worse than its bound; 2 the comparison never happened
-(BASE_REV cannot be exported, a run fails, prints a malformed last line,
-or reports a wrong result).
+Prints a table of medians per workload and metric, with the min..max of
+the per-pair changes (each pair's head/base ratio, minus one) beside the
+median change, then a one-line JSON summary that also holds every run's
+value and that range as head/base ratios (`pair_ratio_range`). A change
+whose pairs all lie on one side of zero is unlikely to be noise; one
+whose pairs straddle zero by 20-30% either way may be.
+
+Exit codes: 0 no regression; 1 some median is worse than its bound; 2
+the comparison never happened (BASE_REV cannot be exported, a run fails,
+prints a malformed last line, or reports a wrong result).
 """
 import json
 import os
@@ -119,7 +124,7 @@ def main():
     regressions = []
     summary = {}
     print(f"{'workload':<8} {'metric':<20} {'base':>12} {'head':>12} "
-          f"{'change':>8} {'bound':>6}")
+          f"{'change':>8} {'pairs min..max':>16} {'bound':>6}")
     for w in workloads:
         for m in metrics:
             name = m["name"]
@@ -127,16 +132,21 @@ def main():
                       for side in ("base", "head")}
             base = statistics.median(values["base"])
             head = statistics.median(values["head"])
-            summary.setdefault(w, {})[name] = {"base": base, "head": head,
-                                               "runs": values}
+            # Runs i of both sides form pair i.
+            ratios = [h / b for b, h in zip(values["base"], values["head"])]
+            summary.setdefault(w, {})[name] = {
+                "base": base, "head": head,
+                "pair_ratio_range": [min(ratios), max(ratios)],
+                "runs": values}
             change = (head - base) / base
+            pairs = f"{min(ratios) - 1:+.1%}..{max(ratios) - 1:+.1%}"
             worse = change if m["better"] == "lower" else -change
             flag = ""
             if worse > m["bound"]:
                 regressions.append(f"{w}/{name}")
                 flag = "  << REGRESSION"
             print(f"{w:<8} {name:<20} {base:>12.4g} {head:>12.4g} "
-                  f"{change:>+7.1%} {m['bound']:>6.0%}{flag}")
+                  f"{change:>+7.1%} {pairs:>16} {m['bound']:>6.0%}{flag}")
     print(json.dumps({"base": base_sha, "pairs": PAIRS, "seed": SEED,
                       "regressions": regressions, "metrics": summary}))
     return EXIT_REGRESSION if regressions else 0
